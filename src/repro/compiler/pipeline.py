@@ -1,8 +1,9 @@
 """Modulo-scheduled trace analysis: loop signatures + register renaming.
 
 Workload generators mark their emission loops with
-:meth:`repro.isa.builder.ProgramBuilder.loop`.  This pass runs once per
-built program (from ``Benchmark.build``) and does two things:
+:meth:`repro.isa.builder.ProgramBuilder.loop`.  The module offers two
+analyses over a built program; only the first runs when a trace is
+built (:func:`run`, from ``Benchmark.build``):
 
 1. **Verify marks into iteration signatures.**  A mark survives only if
    every iteration has the same *shape*: per body slot the opcode,
@@ -15,18 +16,22 @@ built program (from ``Benchmark.build``) and does two things:
    replicates it, and the grid fast-forward seeds its anchor-state
    search at compiler-declared iteration boundaries.
 
-2. **Rename away false WAR/WAW dependences.**  Media loop bodies recycle
-   a handful of architectural temporaries (``v0``/``v1``/``r4``...)
-   every few instructions; the hardware renames these, so the in-order
-   hazard scan in pre-decode is pessimistic about them.  For each
-   verified loop we rewrite repeated intra-body definitions of
-   non-carried registers onto registers that are provably free over the
-   region, using the *same* map for every iteration (so signatures stay
-   valid and live-outs are preserved by letting the final definition
-   keep the architectural name).  Renaming never changes dataflow --
-   ``tests/test_timing_differential.py`` pins every figure point
-   byte-identical, and the hypothesis suite checks executor equivalence
-   on random bodies.
+2. **Rename away false WAR/WAW dependences** (:func:`rename_false_deps`,
+   not on the build path).  Media loop bodies recycle a handful of
+   architectural temporaries (``v0``/``v1``/``r4``...) every few
+   instructions; the hardware renames these, so the in-order hazard
+   scan in pre-decode is pessimistic about them.  For each verified
+   loop the renamer rewrites repeated intra-body definitions of
+   non-carried registers onto registers that are provably free over
+   the region, using the *same* map for every iteration (so signatures
+   stay valid and live-outs are preserved by letting the final
+   definition keep the architectural name).  Renaming never changes
+   dataflow -- the hypothesis suite checks executor equivalence on
+   random bodies.  It also changes no paper-grid ``RunStats``: renamed
+   or not, all 46 ``repro all`` points match the golden record, while
+   renaming the 15 paper traces costs 1.4-1.6 s and the simulations
+   run no faster on the renamed traces (2-core x86 host).  So traces
+   are built without it.
 
 The pass is advisory end to end: unverifiable marks are dropped and
 unrenameable registers are skipped, never errors.
@@ -296,16 +301,14 @@ def _uniform_vl(ins, lo: int, length: int, reg: Register) -> bool:
 
 
 def run(program):
-    """The full pass: verify marks, rename, publish signatures.
+    """The build-path pass: verify marks and publish signatures.
 
-    Invoked by ``Benchmark.build`` on every generated trace.  Mutates
-    ``program`` in place and returns it.
+    Invoked by ``Benchmark.build`` on every generated trace.  Sets
+    ``program.loops`` and returns ``program``; the instructions are
+    left exactly as the generator emitted them.  Renaming
+    (:func:`rename_false_deps`) is not applied here: on the paper grid
+    it changes no ``RunStats`` and costs more trace-build time than
+    the simulation time it saves.
     """
-    if not program.loop_marks:
-        program.loops = []
-        return program
-    signatures = verify_marks(program)
-    regions = coverage_regions(signatures)
-    rename_false_deps(program, regions)
-    program.loops = signatures
+    program.loops = verify_marks(program)
     return program

@@ -16,8 +16,27 @@ from repro.isa.datatypes import ElemType
 from repro.isa.opcodes import EXEC_CLASS, MEMORY_OPS, ExecClass, Opcode
 from repro.isa.registers import Register
 
+# Per-opcode validation requirements, checked in this order.
+_NEEDS_EA = 1  # memory op: effective address
+_NEEDS_STRIDE = 2  # strided vector memory op: stride and 1 <= vl <= 16
+_NEEDS_WWORDS = 4  # dvload3: element width 1..16 words
+_NEEDS_PSTRIDE = 8  # dvmov3: pointer stride
 
-@dataclass(frozen=True)
+# The per-instruction lookups key these tables by ``id(op)``: enum
+# members are singletons, and hashing an int is several times cheaper
+# than the Python-level ``Enum.__hash__``.
+_CHECKS_ID = {
+    id(op): ((_NEEDS_EA if op in MEMORY_OPS else 0)
+             | (_NEEDS_STRIDE if op in (Opcode.VLD, Opcode.VST,
+                                        Opcode.DVLOAD3) else 0)
+             | (_NEEDS_WWORDS if op is Opcode.DVLOAD3 else 0)
+             | (_NEEDS_PSTRIDE if op is Opcode.DVMOV3 else 0))
+    for op in Opcode}
+_MEMORY_ID = frozenset(id(op) for op in MEMORY_OPS)
+_EXEC_CLASS_ID = {id(op): cls for op, cls in EXEC_CLASS.items()}
+
+
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One dynamic instruction.
 
@@ -57,26 +76,29 @@ class Instruction:
     @property
     def exec_class(self) -> ExecClass:
         """Pipeline resource class for this instruction."""
-        return EXEC_CLASS[self.op]
+        return _EXEC_CLASS_ID[id(self.op)]
 
     @property
     def is_memory(self) -> bool:
         """True if the instruction touches simulated memory."""
-        return self.op in MEMORY_OPS
+        return id(self.op) in _MEMORY_ID
 
     def validate(self) -> None:
         """Raise :class:`IsaError` if required fields are missing."""
-        if self.is_memory and self.ea is None:
+        checks = _CHECKS_ID.get(id(self.op), 0)
+        if not checks:
+            return
+        if checks & _NEEDS_EA and self.ea is None:
             raise IsaError(f"{self.op.value}: memory op requires ea")
-        if self.op in (Opcode.VLD, Opcode.VST, Opcode.DVLOAD3):
+        if checks & _NEEDS_STRIDE:
             if self.stride is None:
                 raise IsaError(f"{self.op.value}: requires stride")
             if not 1 <= self.vl <= 16:
                 raise IsaError(f"{self.op.value}: vl must be 1..16")
-        if self.op is Opcode.DVLOAD3:
+        if checks & _NEEDS_WWORDS:
             if self.wwords is None or not 1 <= self.wwords <= 16:
                 raise IsaError("dvload3: wwords must be 1..16")
-        if self.op is Opcode.DVMOV3 and self.pstride is None:
+        if checks & _NEEDS_PSTRIDE and self.pstride is None:
             raise IsaError("dvmov3: requires pstride")
 
     def __repr__(self) -> str:

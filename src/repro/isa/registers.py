@@ -86,32 +86,54 @@ _INTERNED: dict[RegClass, tuple[Register, ...]] = {
 }
 
 
-def _interned(cls: RegClass, index: int) -> Register:
-    table = _INTERNED[cls]
-    if isinstance(index, int) and 0 <= index < len(table):
-        return table[index]
-    # out-of-range (or odd) indexes keep the historical error path
-    return Register(cls, index)
+_SCALARS = _INTERNED[RegClass.SCALAR]
+_VECTORS = _INTERNED[RegClass.VECTOR]
+_ACCS = _INTERNED[RegClass.ACC]
+_D3S = _INTERNED[RegClass.VEC3D]
+
+# Each constructor indexes its class's table directly.  Negative,
+# out-of-range and non-int indexes fall through to ``Register``, which
+# validates them (a negative index must not wrap around the table).
 
 
 def r(index: int) -> Register:
     """Scalar integer register ``r{index}``."""
-    return _interned(RegClass.SCALAR, index)
+    try:
+        if index >= 0:
+            return _SCALARS[index]
+    except (IndexError, TypeError):
+        pass
+    return Register(RegClass.SCALAR, index)
 
 
 def v(index: int) -> Register:
     """2D vector (MOM) register ``v{index}``."""
-    return _interned(RegClass.VECTOR, index)
+    try:
+        if index >= 0:
+            return _VECTORS[index]
+    except (IndexError, TypeError):
+        pass
+    return Register(RegClass.VECTOR, index)
 
 
 def acc(index: int) -> Register:
     """Accumulator register ``acc{index}``."""
-    return _interned(RegClass.ACC, index)
+    try:
+        if index >= 0:
+            return _ACCS[index]
+    except (IndexError, TypeError):
+        pass
+    return Register(RegClass.ACC, index)
 
 
 def d3(index: int) -> Register:
     """3D vector register ``d{index}``."""
-    return _interned(RegClass.VEC3D, index)
+    try:
+        if index >= 0:
+            return _D3S[index]
+    except (IndexError, TypeError):
+        pass
+    return Register(RegClass.VEC3D, index)
 
 
 #: The Vector Length control register.

@@ -62,12 +62,12 @@ class Benchmark(abc.ABC):
               analyze: bool = True) -> BuiltWorkload:
         """Generate the instruction trace for one coding.
 
-        ``analyze`` runs the modulo-scheduling trace analysis
-        (:mod:`repro.compiler.pipeline`) on the generated program:
-        loop marks become verified iteration signatures and false
-        intra-body WAW/WAR dependences are renamed away.  Disabling it
-        yields the raw generator output (used by differential tests
-        and the ``trace_analysis`` run override).
+        ``analyze`` runs the trace analysis
+        (:func:`repro.compiler.pipeline.run`) on the generated program:
+        loop marks become verified iteration signatures on
+        ``program.loops``.  The instructions are the same either way;
+        disabling it leaves ``program.loops`` empty, so the timing
+        layer sees no declared periodic structure.
         """
         if coding not in CODINGS:
             raise ConfigError(f"unknown coding {coding!r}; "

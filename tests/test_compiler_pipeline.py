@@ -1,11 +1,13 @@
 """Property tests for the modulo-scheduled trace analysis pass.
 
 Random loop bodies are drawn to recycle a handful of architectural
-registers — exactly the false WAR/WAW structure media kernels exhibit —
-and the pass must (a) leave dataflow untouched under the functional
-simulator, (b) verify the emission loop into an iteration signature
-matching what was actually emitted, and (c) seed the grid fast-forward
-with anchors that agree with its online periodicity detection.
+registers — exactly the false WAR/WAW structure media kernels exhibit.
+The renamer must (a) leave dataflow untouched under the functional
+simulator; mark verification must (b) recover an iteration signature
+matching what was actually emitted and (c) seed the grid fast-forward
+with anchors that agree with its online periodicity detection.  The
+build-path pass must also leave every generated instruction as
+emitted (renaming is not part of it).
 """
 
 import copy
@@ -21,6 +23,7 @@ from repro.compiler import pipeline
 from repro.isa import ElemType, Opcode, ProgramBuilder, r, v
 from repro.isa.registers import RegClass
 from repro.vm import Executor, FlatMemory
+from repro.workloads import benchmark_names, get_benchmark
 
 #: Registers the random bodies recycle (a tight window forces repeated
 #: intra-body definitions, i.e. false WAW/WAR dependences); the
@@ -131,7 +134,8 @@ def test_rename_preserves_dataflow(body, trips, moving):
     architectural registers and memory as the original."""
     baseline = _build(body, trips, moving=moving)
     renamed = copy.deepcopy(baseline)
-    pipeline.run(renamed)
+    regions = pipeline.coverage_regions(pipeline.verify_marks(renamed))
+    pipeline.rename_false_deps(renamed, regions)
     _assert_same_dataflow(baseline, renamed)
 
 
@@ -191,6 +195,21 @@ def test_rename_breaks_false_waw_and_keeps_liveouts():
     assert r(1) in body[-1].dsts, "the final def keeps the name"
     # each store still sees the value of its own preceding li
     _assert_same_dataflow(baseline, program)
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_build_analysis_only_publishes_loops(bench):
+    """The build-path pass leaves the generated instructions alone: an
+    analyzed build equals the raw (``analyze=False``) build except for
+    its verified ``program.loops``."""
+    analyzed = get_benchmark(bench).build("mom3d").program
+    raw = get_benchmark(bench).build("mom3d", analyze=False).program
+    assert analyzed.instructions == raw.instructions
+    assert analyzed.name == raw.name
+    assert analyzed.version == raw.version
+    assert analyzed.loop_marks == raw.loop_marks
+    assert raw.loops == []
+    assert analyzed.loops == pipeline.verify_marks(raw) != []
 
 
 def test_declared_signatures_agree_with_online_detection():

@@ -1,5 +1,7 @@
 """Round-trip tests for the binary trace encoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ def test_instruction_roundtrip(inst):
     back, consumed = decode_instruction(blob)
     assert consumed == len(blob)
     # tag is not serialized; compare everything else
-    assert back == Instruction(**{**inst.__dict__, "tag": ""})
+    assert back == dataclasses.replace(inst, tag="")
 
 
 def test_program_roundtrip():

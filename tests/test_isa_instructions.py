@@ -1,5 +1,9 @@
 """Unit tests for instruction construction, validation and the builder."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import IsaError
@@ -109,3 +113,93 @@ def test_accumulator_ops_read_accumulator():
     b.vpsadacc(acc(0), v(0), v(1))
     inst = b.program.instructions[-1]
     assert acc(0) in inst.srcs and acc(0) in inst.dsts
+
+
+# -- the record contract ------------------------------------------------------
+
+_VLD = Instruction(op=Opcode.VLD, dsts=(v(0),), srcs=(r(1),), ea=0x100,
+                   stride=8, vl=4, etype=ElemType.I16, tag="k")
+
+
+def test_instruction_is_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _VLD.ea = 0x200
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del _VLD.tag
+    # no new attributes either (the error type is CPython's business)
+    with pytest.raises((AttributeError, TypeError)):
+        _VLD.extra = 1
+
+
+def test_instruction_is_slotted():
+    assert not hasattr(_VLD, "__dict__")
+
+
+def test_instruction_equal_and_hashable_by_value():
+    twin = Instruction(op=Opcode.VLD, dsts=(v(0),), srcs=(r(1),),
+                       ea=0x100, stride=8, vl=4, etype=ElemType.I16,
+                       tag="k")
+    assert twin == _VLD and hash(twin) == hash(_VLD)
+    assert twin != dataclasses.replace(_VLD, tag="")
+    assert len({twin, _VLD, dataclasses.replace(_VLD, ea=0x108)}) == 2
+
+
+def test_instruction_copies_and_pickles():
+    for clone in (copy.copy(_VLD), copy.deepcopy(_VLD),
+                  pickle.loads(pickle.dumps(_VLD))):
+        assert clone == _VLD
+
+
+@pytest.mark.parametrize("inst,text", [
+    (_VLD, "vld v0 r1 @0x100 s=8 vl=4"),
+    (Instruction(op=Opcode.LI, dsts=(r(3),), imm=-42), "li r3 #-42"),
+    (Instruction(op=Opcode.NOP), "nop"),
+])
+def test_instruction_repr(inst, text):
+    assert repr(inst) == text
+
+
+@pytest.mark.parametrize("inst,message", [
+    (Instruction(op=Opcode.LD, dsts=(r(0),)),
+     "ld: memory op requires ea"),
+    (Instruction(op=Opcode.ST, srcs=(r(0),)),
+     "st: memory op requires ea"),
+    # the ea check comes first
+    (Instruction(op=Opcode.VLD, dsts=(v(0),), vl=4),
+     "vld: memory op requires ea"),
+    (Instruction(op=Opcode.VLD, dsts=(v(0),), ea=0, vl=4),
+     "vld: requires stride"),
+    (Instruction(op=Opcode.VST, srcs=(v(0),), ea=0, stride=8, vl=17),
+     "vst: vl must be 1..16"),
+    (Instruction(op=Opcode.VST, srcs=(v(0),), ea=0, stride=8, vl=0),
+     "vst: vl must be 1..16"),
+    (Instruction(op=Opcode.DVLOAD3, dsts=(d3(0),), ea=0, wwords=2),
+     "dvload3: requires stride"),
+    (Instruction(op=Opcode.DVLOAD3, dsts=(d3(0),), ea=0, stride=8),
+     "dvload3: wwords must be 1..16"),
+    (Instruction(op=Opcode.DVLOAD3, dsts=(d3(0),), ea=0, stride=8,
+                 wwords=0),
+     "dvload3: wwords must be 1..16"),
+    (Instruction(op=Opcode.DVMOV3, dsts=(v(0),), srcs=(d3(0),)),
+     "dvmov3: requires pstride"),
+])
+def test_validate_messages(inst, message):
+    with pytest.raises(IsaError) as info:
+        inst.validate()
+    assert str(info.value) == message
+
+
+def test_validate_accepts_every_other_opcode_bare():
+    needs = {Opcode.LD, Opcode.ST, Opcode.VLD, Opcode.VST, Opcode.DVLOAD3,
+             Opcode.DVMOV3}
+    for op in Opcode:
+        if op not in needs:
+            Instruction(op=op).validate()
+
+
+def test_memory_and_exec_class_flags_cover_every_opcode():
+    memory = {Opcode.LD, Opcode.ST, Opcode.VLD, Opcode.VST, Opcode.DVLOAD3}
+    for op in Opcode:
+        inst = Instruction(op=op)
+        assert inst.is_memory is (op in memory)
+        assert isinstance(inst.exec_class, ExecClass)

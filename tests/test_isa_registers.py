@@ -43,3 +43,35 @@ def test_negative_indices_rejected(ctor):
 def test_registers_hashable_and_equal():
     assert r(3) == Register(RegClass.SCALAR, 3)
     assert len({v(1), v(1), v(2)}) == 2
+
+
+@pytest.mark.parametrize("ctor,bad,message", [
+    (r, -1, "register index -1 out of range for class r (0..31)"),
+    (v, 16, "register index 16 out of range for class v (0..15)"),
+    (acc, 2, "register index 2 out of range for class acc (0..1)"),
+    (d3, -3, "register index -3 out of range for class d (0..1)"),
+])
+def test_out_of_range_messages(ctor, bad, message):
+    with pytest.raises(IsaError) as info:
+        ctor(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ctor,cls", [(r, RegClass.SCALAR),
+                                      (v, RegClass.VECTOR),
+                                      (acc, RegClass.ACC),
+                                      (d3, RegClass.VEC3D)])
+def test_constructors_intern_valid_indexes(ctor, cls):
+    for index in range(2):
+        assert ctor(index) is ctor(index)
+        assert ctor(index) == Register(cls, index)
+    assert ctor(True) is ctor(1)  # bool is an int
+
+
+def test_non_int_index_takes_the_constructor_path():
+    with pytest.raises(TypeError):
+        r("a")
+    with pytest.raises(TypeError):
+        v(None)
+    odd = r(2.5)
+    assert odd == Register(RegClass.SCALAR, 2.5) and repr(odd) == "r2.5"
