@@ -13,12 +13,14 @@ like a real cold CLI/engine invocation) and the memo is cleared before
 every measured column, so each column pays the full decode + replay +
 schedule cost for its mode.
 
-The aggregate ratio on this particular grid is bounded by its traces:
-the steady-state fast-forward only engages where a trace actually
-repeats exactly (gsm and jpeg_encode do; jpeg_decode and the mpeg2
-encoders vary data-dependently per iteration), and the shared trace
-decode is already amortized by both modes.  The per-group numbers in
-the JSON show the spread.  ``MIN_SPEEDUP`` is the soft CI gate: the
+The aggregate ratio on this grid is bounded by what a group shares
+beyond the trace decode, which both modes already amortize through the
+memo: the limiter gate tables, the timing-decoupled traffic replay
+(with closed forms for ideal ports and fully resident warm MMX runs)
+and schedule reuse between members whose timing streams coincide.
+The large MMX groups gain most; the small MOM groups are close to
+break-even.  The per-group numbers in the JSON show the spread.
+``MIN_SPEEDUP`` is the soft CI gate: the
 ``bench-grid`` job emits a warning annotation (not a failure) when the
 aggregate ratio falls below it.
 
@@ -111,9 +113,9 @@ def test_grid_speedup():
     # gate (see the bench-grid job), not a test failure.
     assert payload["speedup"] >= 0.7, payload
     # Auto mode must never make a trace group meaningfully slower than
-    # the per-spec path: the work-volume floor in engine.parallel
-    # routes break-even groups off the grid path, so a per-group auto
-    # ratio below 0.95x means the floor is mistuned.  Sub-10ms columns
+    # the per-spec path: it sends every group of two or more through
+    # the grid path, so a per-group auto ratio below 0.95x means the
+    # grid path loses on a multi-spec group.  Sub-10ms columns
     # (the single-spec mom3d groups, where auto runs the *identical*
     # off-path code) can miss the ratio on scheduler jitter alone, so
     # also require a >2ms absolute loss before failing.

@@ -57,9 +57,9 @@ Engine flags (accepted before or after the subcommand):
   command running the remote backend hosts its work queue on
   ``--work-port`` so workers can attach.
 * ``--grid-mode {auto,on,off}`` — whether specs sharing one trace are
-  simulated as a single grid-axis pass (shared decode, traffic replay
-  and steady-state fast-forward; see ``docs/timing.md``).  Bit-
-  identical statistics in every mode.
+  simulated as a single grid-axis pass (shared decode, gate tables
+  and schedule reuse; see ``docs/timing.md``).  Bit-identical
+  statistics in every mode.
 * ``--lease-ttl SECONDS`` — remote backend only: how long a worker
   may hold a shard before it is re-leased.
 * ``--cache-dir DIR`` — persistent result-cache location (default

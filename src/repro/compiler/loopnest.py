@@ -140,8 +140,7 @@ class LoopSignature:
     freely -- they are not modelled by the timing layer.
 
     The timing layer's pre-decode uses signatures to lower one body and
-    replicate the result; the grid fast-forward seeds its anchor-state
-    search at iteration boundaries (see ``timing/gridskip.py``).
+    replicate the result (see ``timing/predecode.py``).
     """
 
     #: Trace index of the first body slot of the first iteration.

@@ -13,8 +13,8 @@ built (:func:`run`, from ``Benchmark.build``):
    the timing layer never reads them.  Verified marks become
    :class:`repro.compiler.loopnest.LoopSignature` records on
    ``program.loops``; the timing layer's pre-decode lowers one body and
-   replicates it, and the grid fast-forward seeds its anchor-state
-   search at compiler-declared iteration boundaries.
+   replicates it.  That periodized decode is the signatures' only
+   consumer.
 
 2. **Rename away false WAR/WAW dependences** (:func:`rename_false_deps`,
    not on the build path).  Media loop bodies recycle a handful of

@@ -80,12 +80,11 @@ class EngineStats:
     stores: int = 0
     #: backend ``execute`` calls issued for uncached specs
     dispatches: int = 0
-    #: trace groups planned for the grid-axis path.  Planner-side
-    #: evidence: the executing side recomputes the same plan per
-    #: shard, where ``auto`` may additionally demote a group below
-    #: the work-volume floor to the per-spec path (see
-    #: ``parallel.simulate_specs``), so these count the plan, not a
-    #: guarantee of grid execution
+    #: trace groups planned for the grid-axis path.  In-process
+    #: execution runs exactly these groups through ``GridPipeline``
+    #: (``parallel.simulate_specs`` applies the same ``plan_grid``);
+    #: sharded backends re-plan per shard and may split a group only
+    #: when there are more workers than groups (``shard_specs``)
     grid_groups: int = 0
     #: specs planned per-spec while grid mode was enabled (ineligible
     #: overrides, or singleton groups under ``auto``)

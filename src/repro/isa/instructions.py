@@ -137,8 +137,8 @@ class Program:
                              compare=False)
     #: Verified :class:`repro.compiler.loopnest.LoopSignature` records,
     #: sorted by start (outer loops before the inner loops they
-    #: contain).  Trace consumers (pre-decode, the grid fast-forward)
-    #: treat an empty list as "no periodic structure declared".
+    #: contain).  The trace consumer (periodized pre-decode) treats an
+    #: empty list as "no periodic structure declared".
     loops: list = field(default_factory=list, repr=False, compare=False)
 
     def append(self, inst: Instruction) -> None:

@@ -600,9 +600,8 @@ def _decode_core(program: Program) -> CoreDecode:
 
     # Periodic regions declared by the trace-analysis pass
     # (repro.compiler.pipeline): lower one body per region, then
-    # replicate the products for the remaining trips.  The replicated
-    # row/event tuples are *shared objects*, which downstream passes
-    # exploit (identity-keyed interning).  Hazard runs are forced to
+    # replicate the products for the remaining trips (the replicated
+    # row/event tuples are shared objects).  Hazard runs are forced to
     # break at iteration boundaries, which makes the break pattern a
     # pure function of the body (any cross-iteration value lands before
     # the forced break, so no run can observe it) — the resulting runs

@@ -4,8 +4,8 @@ Random loop bodies are drawn to recycle a handful of architectural
 registers — exactly the false WAR/WAW structure media kernels exhibit.
 The renamer must (a) leave dataflow untouched under the functional
 simulator; mark verification must (b) recover an iteration signature
-matching what was actually emitted and (c) seed the grid fast-forward
-with anchors that agree with its online periodicity detection.  The
+matching what was actually emitted, and (c) periodized decode over
+the verified loops must reproduce the unperiodized decode.  The
 build-path pass must also leave every generated instruction as
 emitted (renaming is not part of it).
 """
@@ -212,35 +212,39 @@ def test_build_analysis_only_publishes_loops(bench):
     assert analyzed.loops == pipeline.verify_marks(raw) != []
 
 
-def test_declared_signatures_agree_with_online_detection():
-    """Anchors seeded from the compiler-declared signature land on
-    iteration boundaries, and the online (row-periodicity) detection
-    agrees: within the region, anchors sharing a trace row are spaced
-    by whole iterations."""
-    from collections import defaultdict
+@pytest.mark.parametrize("coding", ("mmx", "mom", "mom3d"))
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_periodized_decode_matches_unperiodized(bench, coding):
+    """``program.loops`` has one consumer, periodized decode: lowering
+    one body per verified loop and replicating it must reproduce the
+    sequential decode of the raw (``analyze=False``) build.  Hazard
+    runs are the one deliberate difference — they break at iteration
+    boundaries — so each periodized run must lie inside a sequential
+    one."""
+    from bisect import bisect_right
 
-    from repro.timing import gridskip, predecode
+    from repro.timing.predecode import _decode_core
 
-    body = [("vld", 0, 1, 0), ("add", 1, 2, 0), ("simd", 0, 1, 0),
-            ("st", 1, 0, 1), ("mul", 2, 1, 0), ("vst", 2, 0, 2)]
-    program = _build(body, trips=48)
-    pipeline.run(program)
-    assert program.loops, "the emission loop must verify"
-    sig = program.loops[0]
+    analyzed = get_benchmark(bench).build(coding).program
+    raw = get_benchmark(bench).build(coding, analyze=False).program
+    assert analyzed.loops and not raw.loops
+    periodized = _decode_core(analyzed)
+    sequential = _decode_core(raw)
 
-    core = predecode._decode_core(program)
-    (rowid, memord, ptrord, anchors, positions, pdg,
-     horizon) = gridskip._skip_core(program, core)
-    assert positions, "a 48-trip declared loop must seed anchors"
-    region = [p for p in positions if sig.start <= p < sig.end]
-    assert region, "no anchors landed inside the declared region"
-    # compiler-seeded anchors sit on iteration starts
-    assert any((p - sig.start) % sig.body_len == 0 for p in region)
-    # online detection concurs: same-row anchors are whole iterations
-    # apart (the declared period divides every observed spacing)
-    by_row = defaultdict(list)
-    for p in region:
-        by_row[int(rowid[p])].append(p)
-    for group in by_row.values():
-        for a, b2 in zip(group, group[1:]):
-            assert (b2 - a) % sig.body_len == 0, (a, b2, sig.body_len)
+    assert periodized.n == sequential.n
+    assert periodized.rows == sequential.rows
+    assert np.array_equal(periodized.kind_arr, sequential.kind_arr)
+    assert np.array_equal(periodized.vl_arr, sequential.vl_arr)
+    assert periodized.mem_geometry == sequential.mem_geometry
+    assert periodized.requests == sequential.requests
+    assert periodized.by_class == sequential.by_class
+    assert periodized.by_opcode == sequential.by_opcode
+    assert periodized.veclen_events == sequential.veclen_events
+    assert periodized.rf3d_words == sequential.rf3d_words
+    assert periodized.rf3d_reads == sequential.rf3d_reads
+    assert periodized.has_dvload3 == sequential.has_dvload3
+
+    starts = [lo for lo, _hi in sequential.runs]
+    for lo, hi in periodized.runs:
+        j = bisect_right(starts, lo) - 1
+        assert j >= 0 and sequential.runs[j][1] >= hi, (lo, hi)

@@ -11,10 +11,10 @@ path byte for byte:
   result.
 
 * **Random-trace equivalence** — Hypothesis-generated programs (both
-  free-form and block-repeated, the latter specifically to engage the
-  steady-state fast-forward on non-handwritten code) simulate to the
-  same statistics through :class:`~repro.timing.grid.GridPipeline`
-  and the batched pipeline across a config group.
+  free-form and block-repeated, the latter shaped like the unrolled
+  loops of the media kernels) simulate to the same statistics
+  through :class:`~repro.timing.grid.GridPipeline` and the batched
+  pipeline across a config group.
 
 Run under the fixed ``ci`` profile (registered in ``conftest.py``) in
 CI: ``pytest --hypothesis-profile=ci``.
@@ -158,9 +158,10 @@ def test_random_program_grid_identical(ops, vl):
 @settings(max_examples=20, deadline=None)
 def test_repeated_block_grid_identical(ops, repeats, moving, vl):
     """Unrolled-loop-shaped traces: repeating a random block long
-    enough to cross the skip engine's anchor and window thresholds
-    must still be bit-identical — with both stationary and moving
-    (per-iteration shifted) buffer addresses."""
+    enough for the window, LSQ and rename gates to bind and for
+    store→load conflicts to cross iterations must still be
+    bit-identical — with both stationary and moving (per-iteration
+    shifted) buffer addresses."""
     builder = ProgramBuilder("grid-loop")
     builder.setvl(vl)
     for k in range(repeats):

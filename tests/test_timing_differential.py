@@ -10,10 +10,10 @@ l2_latency) point of the paper's fig3 / fig9 / table1 grids and asserts
 
 The grid-axis pipeline (:mod:`repro.timing.grid`) re-derives the same
 schedule a third way — shared trace decode, timing-decoupled traffic
-replay, precomputed limiter gates and periodic steady-state
-fast-forward — and is pinned here to the per-spec batched path for
-every paper grid point, warm and cold, under grid-mode ``on``, ``off``
-and ``auto`` across all three execution backends.
+replay and precomputed limiter gates — and is pinned here to the
+per-spec batched path for every paper grid point, warm and cold, under
+grid-mode ``on``, ``off`` and ``auto`` across all three execution
+backends.
 """
 
 import threading
@@ -178,6 +178,24 @@ def test_grid_modes_bit_identical_inline(paper_grid_baseline,
     _assert_grid_matches(engine.run_many(specs), baseline)
     if grid_mode != "off":
         assert engine.stats.grid_groups > 0
+
+
+def test_grid_groups_count_grid_passes(paper_grid_baseline, monkeypatch):
+    """``grid_groups`` counts the groups that actually ran through
+    :class:`GridPipeline` under ``auto``, not merely the planned ones."""
+    specs, baseline = paper_grid_baseline
+    passes = []
+    run = GridPipeline.run
+
+    def counting_run(self, *args, **kwargs):
+        passes.append(len(self.configs))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridPipeline, "run", counting_run)
+    engine = Engine(use_cache=False, backend="inline", grid_mode="auto")
+    _assert_grid_matches(engine.run_many(specs), baseline)
+    assert engine.stats.grid_groups == len(passes) > 0
+    assert engine.stats.grid_fallbacks == len(specs) - sum(passes)
 
 
 @pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
