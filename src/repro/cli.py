@@ -50,7 +50,9 @@ Subcommands:
 
 Engine flags (accepted before or after the subcommand):
 
-* ``--jobs N`` — shard uncached simulations across N worker processes.
+* ``--jobs N`` — shard uncached simulations across N worker processes
+  (default: every CPU this process may run on; ``--jobs 1`` runs
+  serially in-process).
 * ``--backend {inline,process,remote}`` — how uncached simulations
   execute: serially, across a local process pool (the default), or
   dispatched to pull-based ``repro worker`` processes.  A non-serve
@@ -71,7 +73,9 @@ Engine flags (accepted before or after the subcommand):
   layout.  ``auto`` keeps whatever the directory already uses.
 
 Commands that simulate print an ``[engine] simulations=...`` summary
-line to stderr; a warm-cache rerun reports ``simulations=0``.
+line to stderr; a warm-cache rerun reports ``simulations=0``.  When a
+process pool ran, the line ends with its ``pool-width`` and
+``pool-shards``.
 ``submit`` prints the *server's* counters as ``[service] ...`` instead,
 and ``worker`` prints its loop counters as ``[worker] ...``.
 """
@@ -79,6 +83,7 @@ and ``worker`` prints its loop counters as ``[worker] ...``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.engine.keys import MEMSYS_KINDS as _MEMSYS_CHOICES
@@ -128,8 +133,21 @@ def _host_work_queue(args, runner: Runner) -> None:
           file=sys.stderr)
 
 
+def _default_jobs() -> int:
+    """The ``--jobs`` default: every CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def _print_engine_summary(runner: Runner) -> None:
-    print(f"[engine] {runner.engine.stats.summary()}", file=sys.stderr)
+    line = runner.engine.stats.summary()
+    counters = runner.engine.backend.counters()
+    if counters.get("pool_shards"):
+        line += (f" pool-width={counters['pool_width']} "
+                 f"pool-shards={counters['pool_shards']}")
+    print(f"[engine] {line}", file=sys.stderr)
 
 
 def _cmd_list(_args) -> int:
@@ -710,8 +728,9 @@ def main(argv: list[str] | None = None) -> int:
     group.add_argument("--jobs", "-j", type=_positive_int,
                        default=argparse.SUPPRESS, metavar="N",
                        help="worker processes for uncached simulations "
-                            "(default 1 = serial); also the remote "
-                            "backend's shard fan-out hint")
+                            "(default: every usable CPU; 1 = serial); "
+                            "also the remote backend's shard fan-out "
+                            "hint")
     group.add_argument("--backend", choices=BACKEND_NAMES,
                        default=argparse.SUPPRESS,
                        help="execution backend for uncached "
@@ -753,7 +772,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproduction of '3D Memory Vectorization for High "
                     "Bandwidth Media Memory Systems' (MICRO-35, 2002)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1)
+    parser.add_argument("--jobs", "-j", type=_positive_int,
+                        default=_default_jobs())
     parser.add_argument("--backend", choices=BACKEND_NAMES,
                         default="process")
     parser.add_argument("--grid-mode", choices=GRID_MODES,

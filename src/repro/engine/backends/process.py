@@ -46,7 +46,9 @@ class ProcessBackend:
     it per call.  ``jobs <= 1`` (or a single spec) runs serially on the
     calling thread — no pool, no pickling.  The pool itself is created
     per ``execute`` call, exactly like the old ``simulate_many``, so an
-    idle backend holds no processes.
+    idle backend holds no processes.  ``counters()`` reports the pool
+    tasks run (``pool_shards``) and the widest pool opened
+    (``pool_width``); both stay 0 while everything runs serially.
     """
 
     name = "process"
@@ -60,6 +62,7 @@ class ProcessBackend:
         self._dispatches = 0
         self._executed = 0
         self._pool_shards = 0
+        self._pool_width = 0
 
     def execute(self, specs: list[RunSpec], jobs: int | None = None,
                 grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
@@ -75,9 +78,9 @@ class ProcessBackend:
                 self._executed += len(results)
             return results
         shards = shard_specs(specs, jobs)
+        width = min(jobs, len(shards))
         results: dict[RunSpec, RunStats] = {}
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(shards))) as pool:
+        with ProcessPoolExecutor(max_workers=width) as pool:
             futures = [(shard, pool.submit(_pool_worker, tuple(shard),
                                            trace_paths_for(shard),
                                            grid_mode))
@@ -89,13 +92,15 @@ class ProcessBackend:
             self._dispatches += 1
             self._executed += len(results)
             self._pool_shards += len(shards)
+            self._pool_width = max(self._pool_width, width)
         return results
 
     def counters(self) -> dict:
         with self._lock:
             return {"dispatches": self._dispatches,
                     "executed": self._executed,
-                    "pool_shards": self._pool_shards}
+                    "pool_shards": self._pool_shards,
+                    "pool_width": self._pool_width}
 
     def close(self) -> None:
         pass

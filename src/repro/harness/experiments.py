@@ -4,11 +4,12 @@ Each ``fig*``/``table*`` function takes a :class:`Runner` and returns
 an :class:`ExperimentResult` whose table holds our measured values,
 with the paper's reported values alongside where the paper states them.
 
-Every experiment declares its full simulation grid up front and
-pre-fetches it through the runner's engine (``Runner.prefetch``), so a
-``--jobs N`` invocation shards the grid across worker processes before
-any table cell is computed; the cell-by-cell ``runner.run`` calls that
-follow are pure memo hits.
+Every experiment declares its full simulation grid up front (``GRIDS``)
+and pre-fetches it through the runner's engine (``Runner.prefetch``),
+so a ``--jobs N`` invocation shards the grid across worker processes
+before any table cell is computed; the cell-by-cell ``runner.run``
+calls that follow are pure memo hits.  :func:`run_all` prefetches the
+union of all the grids in one dispatch instead.
 """
 
 from __future__ import annotations
@@ -24,19 +25,9 @@ from repro.timing import mmx_processor, mom3d_processor, mom_processor
 from repro.workloads import benchmark_names
 
 
-def _prefetch(runner: Runner, *sweeps: Sweep) -> None:
-    """Resolve several sweeps' specs in one engine fan-out."""
-    runner.prefetch([spec for sweep in sweeps for spec in sweep.specs()])
-
-
-def _sweep(runner: Runner, codings, memsystems,
-           benchmarks=None, l2_latencies=(20,)) -> Sweep:
-    """Shorthand for a grid bound to this runner's seed."""
-    return Sweep(
-        benchmarks=tuple(benchmarks) if benchmarks is not None
-        else tuple(benchmark_names()),
-        codings=tuple(codings), memsystems=tuple(memsystems),
-        l2_latencies=tuple(l2_latencies), seed=runner.seed)
+def _prefetch(runner: Runner, exp_id: str) -> None:
+    """Resolve one experiment's whole grid in one engine fan-out."""
+    runner.prefetch(experiment_specs(exp_id, runner.seed))
 
 
 # -- canonical evaluation grids ------------------------------------------------
@@ -45,6 +36,11 @@ def _sweep(runner: Runner, codings, memsystems,
 # with them (the service HTTP tests, the CI service-smoke script) must
 # share one definition of each grid, so a future grid change cannot
 # silently decouple the parity checks from what `repro run` simulates.
+
+#: benchmarks of the Fig. 10 latency panels (the paper shows four:
+#: mpeg2 encode/decode, jpeg encode, gsm)
+FIG10_BENCHES = ("mpeg2_encode", "mpeg2_decode", "jpeg_encode",
+                 "gsm_encode")
 
 
 def fig3_sweep(seed: int = 0) -> Sweep:
@@ -73,6 +69,58 @@ def table1_sweep(seed: int = 0) -> Sweep:
                  seed=seed)
 
 
+def memsys_sweeps(seed: int = 0) -> tuple[Sweep, ...]:
+    """The fig. 6 / table 4 / fig. 11 grids: MOM on the multi-banked
+    and vector caches, MOM+3D on the vector cache."""
+    benches = tuple(benchmark_names())
+    return (
+        Sweep(benchmarks=benches, codings=("mom",),
+              memsystems=("multibank", "vector"), seed=seed),
+        Sweep(benchmarks=benches, codings=("mom3d",),
+              memsystems=("vector",), seed=seed),
+    )
+
+
+def fig10_sweep(seed: int = 0) -> Sweep:
+    """The fig. 10 grid: MOM and MOM+3D on the vector cache at three
+    L2 latencies."""
+    return Sweep(benchmarks=FIG10_BENCHES, codings=("mom", "mom3d"),
+                 memsystems=("vector",), l2_latencies=(20, 40, 60),
+                 seed=seed)
+
+
+#: Experiment id -> the sweeps its table reads, as a function of the
+#: seed.  Each experiment prefetches exactly its entry, and
+#: :func:`all_specs` is their union, so the two cannot drift apart.
+#: Experiments without an entry report constants and simulate nothing.
+GRIDS = {
+    "fig3": lambda seed: (fig3_sweep(seed),),
+    "fig6": memsys_sweeps,
+    "fig7": lambda seed: (table1_sweep(seed),),
+    "fig9": fig9_sweeps,
+    "fig10": lambda seed: (fig10_sweep(seed),),
+    "fig11": memsys_sweeps,
+    "table1": lambda seed: (table1_sweep(seed),),
+    "table4": memsys_sweeps,
+}
+
+
+def experiment_specs(exp_id: str, seed: int = 0) -> list:
+    """Every spec one experiment's table reads (empty if none)."""
+    grid = GRIDS.get(exp_id)
+    if grid is None:
+        return []
+    return [spec for sweep in grid(seed) for spec in sweep.specs()]
+
+
+def all_specs(seed: int = 0) -> list:
+    """Every spec ``repro all`` resolves, deduplicated, in experiment
+    order (the 46 points of the paper's evaluation)."""
+    return list(dict.fromkeys(
+        spec for exp_id in EXPERIMENTS
+        for spec in experiment_specs(exp_id, seed)))
+
+
 def paper_grids(seed: int = 0) -> list:
     """Deduped union of the fig3 + fig9 + table1 specs (the service
     parity surface)."""
@@ -99,7 +147,7 @@ class ExperimentResult:
 
 def fig3(runner: Runner) -> ExperimentResult:
     """Fig. 3 — slowdown of realistic MOM memory systems vs. ideal."""
-    _prefetch(runner, fig3_sweep(runner.seed))
+    _prefetch(runner, "fig3")
     table = Table(["benchmark", "multibank", "vector-cache"])
     for bench in benchmark_names():
         table.add_row(bench,
@@ -117,8 +165,7 @@ def fig3(runner: Runner) -> ExperimentResult:
 
 def fig6(runner: Runner) -> ExperimentResult:
     """Fig. 6 — effective bandwidth in 64-bit words per cache access."""
-    _prefetch(runner, _sweep(runner, ("mom",), ("multibank", "vector")),
-              _sweep(runner, ("mom3d",), ("vector",)))
+    _prefetch(runner, "fig6")
     table = Table(["benchmark", "multibank", "vector-cache", "vc+3D"])
     for bench in benchmark_names():
         table.add_row(
@@ -135,7 +182,7 @@ def fig6(runner: Runner) -> ExperimentResult:
 
 def fig7(runner: Runner) -> ExperimentResult:
     """Fig. 7 — vector-cache traffic reduction from 3D vectorization."""
-    _prefetch(runner, _sweep(runner, ("mom", "mom3d"), ("vector",)))
+    _prefetch(runner, "fig7")
     table = Table(["benchmark", "MOM words", "MOM+3D words",
                    "reduction %"])
     for bench in benchmark_names():
@@ -150,7 +197,7 @@ def fig7(runner: Runner) -> ExperimentResult:
 
 def table1(runner: Runner) -> ExperimentResult:
     """Table 1 — memory-instruction vector length per dimension."""
-    _prefetch(runner, table1_sweep(runner.seed))
+    _prefetch(runner, "table1")
     table = Table(["benchmark", "mom 1st", "mom 2nd", "3d 1st", "3d 2nd",
                    "3d 3rd", "3d 3rd max", "paper 3rd (max)"])
     for bench in benchmark_names():
@@ -215,8 +262,7 @@ def table3(runner: Runner) -> ExperimentResult:
 
 def table4(runner: Runner) -> ExperimentResult:
     """Table 4 — L2 cache activity per memory-system design."""
-    _prefetch(runner, _sweep(runner, ("mom",), ("multibank", "vector")),
-              _sweep(runner, ("mom3d",), ("vector",)))
+    _prefetch(runner, "table4")
     table = Table(["benchmark", "multibank", "vector", "vc+3D",
                    "paper (M, mb/vc/3d)"])
     for bench in benchmark_names():
@@ -235,7 +281,7 @@ def table4(runner: Runner) -> ExperimentResult:
 
 def fig9(runner: Runner) -> ExperimentResult:
     """Fig. 9 — slowdown of every ISA/memory configuration."""
-    _prefetch(runner, *fig9_sweeps(runner.seed))
+    _prefetch(runner, "fig9")
     table = Table(["benchmark", "mmx-mb", "mmx-ideal", "mom-mb",
                    "mom-vc", "mom3d-vc"])
     for bench in benchmark_names():
@@ -262,14 +308,9 @@ def fig9(runner: Runner) -> ExperimentResult:
 
 def fig10(runner: Runner) -> ExperimentResult:
     """Fig. 10 — normalized execution time vs. L2 latency."""
-    # the paper shows four panels: mpeg2encode/decode, jpeg encode, gsm
-    benches = ("mpeg2_encode", "mpeg2_decode", "jpeg_encode",
-               "gsm_encode")
-    _prefetch(runner, _sweep(runner, ("mom", "mom3d"), ("vector",),
-                             benchmarks=benches,
-                             l2_latencies=(20, 40, 60)))
+    _prefetch(runner, "fig10")
     table = Table(["benchmark", "coding", "lat 20", "lat 40", "lat 60"])
-    for bench in benches:
+    for bench in FIG10_BENCHES:
         for coding in ("mom", "mom3d"):
             base = runner.run(bench, coding, "vector", 20).cycles
             row = [runner.run(bench, coding, "vector", lat).cycles / base
@@ -290,8 +331,7 @@ def fig10(runner: Runner) -> ExperimentResult:
 
 def fig11(runner: Runner) -> ExperimentResult:
     """Fig. 11 — L2 + 3D RF average power per configuration."""
-    _prefetch(runner, _sweep(runner, ("mom",), ("multibank", "vector")),
-              _sweep(runner, ("mom3d",), ("vector",)))
+    _prefetch(runner, "fig11")
     table = Table(["benchmark", "multibank W", "vector W", "vc+3D W",
                    "3D RF share W"])
     for bench in benchmark_names():
@@ -329,6 +369,14 @@ EXPERIMENTS = {
 
 
 def run_all(runner: Runner | None = None) -> list[ExperimentResult]:
-    """Run the entire evaluation suite (shares one runner cache)."""
+    """Run the entire evaluation suite (shares one runner cache).
+
+    The union of every experiment's grid (:func:`all_specs`) is
+    prefetched in one engine dispatch before anything renders: a cold
+    run builds each trace once, in one process, and a ``--jobs N``
+    pool shards the whole evaluation at once instead of one figure at
+    a time.  Each experiment's own prefetch is then a memo hit.
+    """
     runner = runner if runner is not None else Runner()
+    runner.prefetch(all_specs(runner.seed))
     return [func(runner) for func in EXPERIMENTS.values()]

@@ -1,6 +1,10 @@
 """Engine tests: spec digests, cache round-trips, parallel determinism."""
 
+import gc
 import json
+import os
+import weakref
+from collections import OrderedDict
 
 import pytest
 
@@ -311,6 +315,64 @@ def test_shard_specs_groups_by_workload():
     for shard in shards:
         keys = {(s.benchmark, s.coding, s.seed) for s in shard}
         assert len(keys) == 1
+
+
+# --- workload memo and the cyclic GC -------------------------------------------
+
+
+def test_built_traces_are_freed_by_refcount_alone(monkeypatch):
+    """``build_workload`` freezes every trace it memoizes, which leaks
+    nothing only because traces hold no reference cycles: with the
+    collector off, a trace dropped from the memo must still die, and
+    building it must leave no cyclic garbage behind."""
+    from repro.engine import parallel
+    from repro.workloads import CODINGS, benchmark_names
+
+    monkeypatch.setattr(parallel, "_WORKLOADS", OrderedDict())
+    # without the freeze, gc.collect() below sees every object the
+    # builds allocated instead of only those made after the last one
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    gc.collect()
+    gc.disable()
+    try:
+        for bench in benchmark_names():
+            for coding in CODINGS:
+                built = parallel.build_workload(bench, coding)
+                refs = [weakref.ref(obj) for obj in
+                        (built, built.program, built.memory)]
+                del built
+                parallel._WORKLOADS.clear()
+                assert [ref() for ref in refs] == [None] * 3, \
+                    (bench, coding)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_build_workload_miss_freezes_the_trace(monkeypatch):
+    from repro.engine import parallel
+
+    monkeypatch.setattr(parallel, "_WORKLOADS", OrderedDict())
+    before = gc.get_freeze_count()
+    parallel.build_workload(BENCH, "mom")
+    assert gc.get_freeze_count() > before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_never_inherits_a_held_memo_lock():
+    from repro.engine import parallel
+
+    with parallel._WORKLOADS_LOCK:  # as if another thread held it
+        pid = os.fork()
+        if pid == 0:  # the child must never return into pytest
+            code = 1
+            try:
+                code = 0 if parallel._WORKLOADS_LOCK.acquire(timeout=5) \
+                    else 1
+            finally:
+                os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # --- parallel determinism -----------------------------------------------------

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from pathlib import Path
 
-from repro.engine import Engine, Sweep
-from repro.harness.experiments import fig3_sweep, fig9_sweeps, table1_sweep
+from repro.engine import Engine, Sweep, parallel
+from repro.harness import Runner, run_all
+from repro.harness.experiments import (all_specs, fig3_sweep, fig9_sweeps,
+                                       table1_sweep)
 from repro.workloads import benchmark_names
+from repro.workloads.base import Benchmark
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "paper_grid.json"
 
@@ -31,7 +35,10 @@ FIG10_BENCHES = ("mpeg2_encode", "mpeg2_decode", "jpeg_encode",
 
 
 def paper_specs(seed: int = 0) -> list:
-    """Every spec ``repro all`` resolves, deduplicated, in grid order."""
+    """Every spec ``repro all`` resolves, deduplicated, in grid order.
+
+    Written out by hand rather than read from ``experiments.GRIDS``:
+    it is the oracle ``experiments.all_specs`` is checked against."""
     benches = tuple(benchmark_names())
     sweeps = (
         fig3_sweep(seed), *fig9_sweeps(seed), table1_sweep(seed),
@@ -80,6 +87,32 @@ def test_paper_grid_matches_golden_record():
     assert sorted(digests) == sorted(golden), "paper grid changed shape"
     moved = [key for key in golden if digests[key] != golden[key]]
     assert not moved, f"{len(moved)} paper points changed: {moved}"
+
+
+def test_all_specs_is_the_paper_grid():
+    assert set(all_specs()) == set(paper_specs())
+    assert set(all_specs(seed=3)) == set(paper_specs(seed=3))
+
+
+def test_cold_run_all_is_one_dispatch_building_each_trace_once(
+        monkeypatch):
+    """``run_all`` prefetches the whole evaluation in one dispatch, so
+    each of the 15 traces (5 benchmarks x 3 codings) is built once."""
+    builds = []
+    real_build = Benchmark.build
+
+    def counting_build(self, coding, seed=0, **kwargs):
+        builds.append((self.name, coding, seed))
+        return real_build(self, coding, seed, **kwargs)
+
+    monkeypatch.setattr(Benchmark, "build", counting_build)
+    monkeypatch.setattr(parallel, "_WORKLOADS", OrderedDict())
+    runner = Runner(use_cache=False)
+    run_all(runner)
+    assert runner.engine.stats.dispatches == 1
+    assert runner.engine.stats.simulations == 46
+    assert len(builds) == 15
+    assert len(set(builds)) == 15
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Tests for the report tables and the command-line interface."""
 
+import os
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.harness.tables import Table
 
@@ -226,6 +229,40 @@ def test_cli_rejects_non_positive_jobs(capsys):
     with pytest.raises(SystemExit):
         main(["--jobs", "0", "list"])
     assert "positive" in capsys.readouterr().err
+
+
+def test_cli_jobs_default_is_the_affinity_size(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(cli, "_cmd_list",
+                        lambda args: parsed.append(args.jobs) or 0)
+    assert main(["list"]) == 0
+    assert main(["list", "--jobs", "1"]) == 0
+    assert parsed == [3, 1]
+
+
+def test_cli_jobs_1_is_serial_and_pooled_output_matches(monkeypatch,
+                                                        capsys):
+    runners = []
+    make_runner = cli._make_runner
+
+    def recording(args):
+        runners.append(make_runner(args))
+        return runners[-1]
+
+    monkeypatch.setattr(cli, "_make_runner", recording)
+    outputs = {}
+    for jobs in ("1", "2"):
+        assert main(["run", "fig3", "--no-cache", "--jobs", jobs]) == 0
+        outputs[jobs] = capsys.readouterr()
+    serial, pooled = (runner.engine.backend.counters()
+                      for runner in runners)
+    assert serial["pool_shards"] == 0
+    assert "pool-" not in outputs["1"].err
+    assert pooled["pool_shards"] == 5  # one per fig3 trace
+    assert "pool-width=2 pool-shards=5" in outputs["2"].err
+    assert outputs["2"].out == outputs["1"].out
 
 
 def test_cli_rejects_bad_backend_tuning(capsys):
