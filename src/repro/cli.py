@@ -50,9 +50,11 @@ Subcommands:
 
 Engine flags (accepted before or after the subcommand):
 
-* ``--jobs N`` — shard uncached simulations across N worker processes
-  (default: every CPU this process may run on; ``--jobs 1`` runs
-  serially in-process).
+* ``--jobs N`` — shard uncached simulations across N worker processes.
+  ``run``, ``all`` and ``tables`` default to every CPU this process may
+  run on; every other command defaults to 1 (serial in-process), so
+  long-lived ``serve``/``worker`` processes never fork a pool unless
+  asked to.
 * ``--backend {inline,process,remote}`` — how uncached simulations
   execute: serially, across a local process pool (the default), or
   dispatched to pull-based ``repro worker`` processes.  A non-serve
@@ -83,12 +85,14 @@ and ``worker`` prints its loop counters as ``[worker] ...``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
 from repro.engine.keys import MEMSYS_KINDS as _MEMSYS_CHOICES
 from repro.errors import ConfigError
 from repro.harness import EXPERIMENTS, Runner, run_all
+from repro.harness.experiments import all_specs
 from repro.workloads import CODINGS, benchmark_names
 
 
@@ -133,8 +137,16 @@ def _host_work_queue(args, runner: Runner) -> None:
           file=sys.stderr)
 
 
-def _default_jobs() -> int:
-    """The ``--jobs`` default: every CPU this process may run on."""
+#: One-shot evaluation commands whose ``--jobs`` defaults to every
+#: usable CPU; all other commands default to serial.
+_POOLED_COMMANDS = frozenset({"run", "all", "tables"})
+
+
+def _default_jobs(command: str) -> int:
+    """The ``--jobs`` default of ``command``: every CPU this process
+    may run on for the one-shot evaluation commands, else 1."""
+    if command not in _POOLED_COMMANDS:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API (macOS, Windows)
@@ -187,6 +199,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_all(args) -> int:
     runner = _make_runner(args)
+    runner.prefetch(all_specs(runner.seed))
+    # One-shot process: every trace it will hold is built by now, and
+    # traces are acyclic (tests/test_engine.py), so the collector need
+    # never rescan them while the tables render.
+    gc.freeze()
     for result in run_all(runner):
         print(result.render())
         print()
@@ -721,6 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     # (with real defaults, so they work before the subcommand) and once
     # to every subparser via this parent (with SUPPRESS defaults, so
     # ``repro tables --jobs 4`` works without clobbering the former).
+    # ``--jobs`` alone defaults to None there and is resolved per
+    # command after parsing (``_default_jobs``).
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("engine options")
     group.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -728,9 +747,9 @@ def main(argv: list[str] | None = None) -> int:
     group.add_argument("--jobs", "-j", type=_positive_int,
                        default=argparse.SUPPRESS, metavar="N",
                        help="worker processes for uncached simulations "
-                            "(default: every usable CPU; 1 = serial); "
-                            "also the remote backend's shard fan-out "
-                            "hint")
+                            "(default: every usable CPU for run/all/"
+                            "tables, else 1 = serial); also the remote "
+                            "backend's shard fan-out hint")
     group.add_argument("--backend", choices=BACKEND_NAMES,
                        default=argparse.SUPPRESS,
                        help="execution backend for uncached "
@@ -773,7 +792,7 @@ def main(argv: list[str] | None = None) -> int:
                     "Bandwidth Media Memory Systems' (MICRO-35, 2002)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", "-j", type=_positive_int,
-                        default=_default_jobs())
+                        default=None)
     parser.add_argument("--backend", choices=BACKEND_NAMES,
                         default="process")
     parser.add_argument("--grid-mode", choices=GRID_MODES,
@@ -1055,6 +1074,8 @@ def main(argv: list[str] | None = None) -> int:
                               "(default 50)")
 
     args = parser.parse_args(argv)
+    if args.jobs is None:
+        args.jobs = _default_jobs(args.command)
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
                 "tables": _cmd_all, "bench": _cmd_bench,
                 "sweep": _cmd_sweep, "explore": _cmd_explore,

@@ -10,11 +10,13 @@ bit-identical to serial execution by construction.
 
 from __future__ import annotations
 
+import gc
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.keys import RunSpec
 from repro.engine.parallel import (
+    build_workload,
     restore_trace_paths,
     shard_specs,
     simulate_specs,
@@ -33,8 +35,18 @@ def _pool_worker(specs: tuple[RunSpec, ...],
     parent's module state is not inherited).  Shards arrive grouped by
     trace (see ``shard_specs``), so the grid-axis path applies inside
     each pool task as well.
+
+    The shard's traces are built first and the heap is then frozen
+    out of the cyclic collector: a child lives for one ``execute``
+    call, and the traces it accumulates are acyclic (freed by refcount
+    alone, pinned by ``tests/test_engine.py``), so full collections
+    during the simulations would rescan them for nothing.
     """
     restore_trace_paths(trace_paths)
+    for key in dict.fromkeys((spec.benchmark, spec.coding, spec.seed)
+                             for spec in specs):
+        build_workload(*key)
+    gc.freeze()
     results = simulate_specs(specs, grid_mode=grid_mode)
     return [results[spec].to_dict() for spec in specs]
 

@@ -18,7 +18,6 @@ workloads, so a grid over many memory systems/latencies builds each
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import threading
@@ -86,7 +85,7 @@ def _check_value(name: str, value) -> None:
 #: LRU-bounded so long-lived hosts (e.g. an API server over the
 #: engine) don't accumulate traces without limit.  The cap comfortably
 #: holds one full evaluation grid (5 benchmarks x 3 codings).  Under
-#: the CLI's default ``--jobs`` (every usable CPU) a cold ``repro all``
+#: ``repro all``'s default ``--jobs`` (every usable CPU) a cold run
 #: builds each trace in the one pool child whose task needs it and the
 #: parent builds nothing; ``--jobs 1`` builds them all in-process.
 #: Guarded by ``_WORKLOADS_LOCK``: the service scheduler runs
@@ -101,9 +100,10 @@ _WORKLOADS_LOCK = threading.Lock()
 
 
 def _reset_workloads_lock() -> None:
-    """Fork hook: ``repro serve`` forks pool children while executor
-    threads run, and a child forked while another thread held the
-    memo lock would otherwise block forever in ``build_workload``."""
+    """Fork hook: ``repro serve --jobs N`` on the process backend forks
+    pool children while executor threads run, and a child forked while
+    another thread held the memo lock would otherwise block forever in
+    ``build_workload``."""
     global _WORKLOADS_LOCK
     _WORKLOADS_LOCK = threading.Lock()
 
@@ -184,14 +184,6 @@ def build_workload(benchmark: str, coding: str, seed: int = 0
         _WORKLOADS[key] = built
         while len(_WORKLOADS) > _WORKLOAD_MEMO_LIMIT:
             _WORKLOADS.popitem(last=False)
-    # A built trace is immutable and holds no reference cycles, so a
-    # full collection that rescans it finds nothing: the 15 paper
-    # traces are ~436k tracked objects, and rescanning them cost a
-    # serial cold ``run_all`` 0.46 s.  Freezing moves them (and
-    # everything older) out of the collector's view.  Being acyclic,
-    # a trace dropped from the memo is still freed by refcount alone
-    # (pinned by tests/test_engine.py), so the freeze leaks no trace.
-    gc.freeze()
     return built
 
 

@@ -321,17 +321,14 @@ def test_shard_specs_groups_by_workload():
 
 
 def test_built_traces_are_freed_by_refcount_alone(monkeypatch):
-    """``build_workload`` freezes every trace it memoizes, which leaks
-    nothing only because traces hold no reference cycles: with the
-    collector off, a trace dropped from the memo must still die, and
-    building it must leave no cyclic garbage behind."""
+    """Pool children and ``repro all`` freeze the heap once traces are
+    built, which leaks nothing only because traces hold no reference
+    cycles: with the collector off, a trace dropped from the memo must
+    still die, and building it must leave no cyclic garbage behind."""
     from repro.engine import parallel
     from repro.workloads import CODINGS, benchmark_names
 
     monkeypatch.setattr(parallel, "_WORKLOADS", OrderedDict())
-    # without the freeze, gc.collect() below sees every object the
-    # builds allocated instead of only those made after the last one
-    monkeypatch.setattr(gc, "freeze", lambda: None)
     gc.collect()
     gc.disable()
     try:
@@ -349,13 +346,19 @@ def test_built_traces_are_freed_by_refcount_alone(monkeypatch):
         gc.enable()
 
 
-def test_build_workload_miss_freezes_the_trace(monkeypatch):
+def test_pool_worker_freezes_once_its_traces_are_built(monkeypatch):
     from repro.engine import parallel
+    from repro.engine.backends import process
 
     monkeypatch.setattr(parallel, "_WORKLOADS", OrderedDict())
-    before = gc.get_freeze_count()
-    parallel.build_workload(BENCH, "mom")
-    assert gc.get_freeze_count() > before
+    built_at_freeze = []
+    monkeypatch.setattr(gc, "freeze", lambda: built_at_freeze.append(
+        list(parallel._WORKLOADS)))
+    specs = (RunSpec(BENCH, "mom", "vector", 20),
+             RunSpec(BENCH, "mom", "vector", 40),
+             RunSpec(BENCH, "mom3d", "vector", 20))
+    process._pool_worker(specs)
+    assert built_at_freeze == [[(BENCH, "mom", 0), (BENCH, "mom3d", 0)]]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

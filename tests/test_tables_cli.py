@@ -232,14 +232,38 @@ def test_cli_rejects_non_positive_jobs(capsys):
 
 
 def test_cli_jobs_default_is_the_affinity_size(monkeypatch):
+    """One-shot evaluation commands default to every usable CPU; the
+    rest (long-lived ``serve``/``worker`` included) stay serial."""
     parsed = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                         raising=False)
-    monkeypatch.setattr(cli, "_cmd_list",
-                        lambda args: parsed.append(args.jobs) or 0)
-    assert main(["list"]) == 0
-    assert main(["list", "--jobs", "1"]) == 0
-    assert parsed == [3, 1]
+    for name in ("_cmd_run", "_cmd_all", "_cmd_list", "_cmd_sweep",
+                 "_cmd_serve", "_cmd_worker"):
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(
+            (args.command, args.jobs)) or 0)
+    for argv in (["all"], ["tables"], ["run", "fig3"], ["all", "-j", "1"],
+                 ["--jobs", "1", "run", "fig3"], ["list"],
+                 ["sweep", "-b", "gsm_encode"], ["serve"],
+                 ["worker", "--url", "http://127.0.0.1:1"]):
+        assert main(argv) == 0
+    assert parsed == [("all", 3), ("tables", 3), ("run", 3), ("all", 1),
+                      ("run", 1), ("list", 1), ("sweep", 1),
+                      ("serve", 1), ("worker", 1)]
+
+
+def test_cli_all_freezes_the_heap_once_after_the_prefetch(monkeypatch,
+                                                         capsys):
+    from repro.harness import Runner
+    from repro.harness.experiments import all_specs
+
+    events = []
+    monkeypatch.setattr(Runner, "prefetch",
+                        lambda self, specs: events.append(list(specs)))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "run_all",
+                        lambda runner: events.append("render") or [])
+    assert main(["all", "--no-cache", "--jobs", "1"]) == 0
+    assert events == [all_specs(), "freeze", "render"]
 
 
 def test_cli_jobs_1_is_serial_and_pooled_output_matches(monkeypatch,
