@@ -40,7 +40,6 @@ unrenameable registers are skipped, never errors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import replace
 
 from repro.compiler.dependence import body_def_use, register_events
 from repro.compiler.loopnest import LoopSignature
@@ -69,10 +68,10 @@ def verify_marks(program) -> list[LoopSignature]:
     non-affine address progressions -- are silently dropped, as are
     marks partially overlapping an already-kept signature.
     """
-    ins = program.instructions
+    shape = tuple(getattr(program, name) for name in _SHAPE_COLUMNS)
     raw: list[LoopSignature] = []
     for starts, end in program.loop_marks:
-        sig = _verify_one(ins, starts, end)
+        sig = _verify_one(shape, program.ea, starts, end)
         if sig is not None:
             raw.append(sig)
     raw.sort(key=lambda s: (s.start, -s.end))
@@ -91,8 +90,20 @@ def verify_marks(program) -> list[LoopSignature]:
     return kept
 
 
-def _verify_one(ins, starts, end) -> LoopSignature | None:
-    """Verify one raw mark; None if no uniform >= 2-trip prefix exists."""
+#: Program columns that must repeat exactly in every trip of a loop
+#: (everything the timing layer reads except the effective address).
+_SHAPE_COLUMNS = ("op", "dst_ids", "src_ids", "etype", "vl", "stride",
+                  "wwords", "back", "pstride", "tag")
+
+
+def _verify_one(shape, ea, starts, end) -> LoopSignature | None:
+    """Verify one raw mark; None if no uniform >= 2-trip prefix exists.
+
+    Compares whole column slices: each later trip's slice of every
+    ``shape`` column must equal body 0's, and each body slot's
+    effective addresses (a stride-``length`` slice of the ``ea``
+    column) must be all None or an arithmetic progression.
+    """
     length = starts[1] - starts[0]
     if length <= 0:
         return None
@@ -104,39 +115,29 @@ def _verify_one(ins, starts, end) -> LoopSignature | None:
     if trips < 2:
         return None
     s0 = starts[0]
+    stop = s0 + trips * length
+    for column in shape:
+        body = column[s0:s0 + length]
+        for base in range(s0 + length, stop, length):
+            if column[base:base + length] != body:
+                return None
     steps = [0] * length
     for j in range(length):
-        a = ins[s0 + j]
-        b = ins[s0 + length + j]
-        if (a.op is not b.op or a.dsts != b.dsts or a.srcs != b.srcs
-                or a.etype is not b.etype or a.vl != b.vl
-                or a.stride != b.stride or a.wwords != b.wwords
-                or a.back != b.back or a.pstride != b.pstride
-                or a.tag != b.tag):
+        slot = ea[s0 + j:stop:length]
+        first = slot[0]
+        if first is None:
+            if slot.count(None) != trips:
+                return None
+            continue
+        if None in slot:
             return None
-        if a.ea is None:
-            if b.ea is not None:
+        step = slot[1] - first
+        if step:
+            if slot != list(range(first, first + trips * step, step)):
                 return None
-        else:
-            if b.ea is None:
-                return None
-            steps[j] = b.ea - a.ea
-    for k in range(2, trips):
-        base = s0 + k * length
-        for j in range(length):
-            a = ins[s0 + j]
-            c = ins[base + j]
-            if (a.op is not c.op or a.dsts != c.dsts or a.srcs != c.srcs
-                    or a.etype is not c.etype or a.vl != c.vl
-                    or a.stride != c.stride or a.wwords != c.wwords
-                    or a.back != c.back or a.pstride != c.pstride
-                    or a.tag != c.tag):
-                return None
-            if a.ea is None:
-                if c.ea is not None:
-                    return None
-            elif c.ea != a.ea + k * steps[j]:
-                return None
+        elif slot.count(first) != trips:
+            return None
+        steps[j] = step
     return LoopSignature(start=s0, body_len=length, trips=trips,
                          ea_steps=tuple(steps))
 
@@ -173,7 +174,7 @@ def rename_false_deps(program, regions) -> int:
     events = register_events(ins)
     changed = 0
     for region in regions:
-        changed += _rename_region(ins, events, region)
+        changed += _rename_region(program, events, region)
     if changed:
         program.version += 1
     return changed
@@ -192,7 +193,8 @@ def _free_over(events, reg: Register, lo: int, hi: int) -> bool:
     return index >= hi and is_def
 
 
-def _rename_region(ins, events, region: LoopSignature) -> int:
+def _rename_region(program, events, region: LoopSignature) -> int:
+    ins = program.instructions
     lo, hi = region.start, region.end
     length, trips = region.body_len, region.trips
     carried, def_sites = body_def_use(ins, lo, length)
@@ -266,8 +268,7 @@ def _rename_region(ins, events, region: LoopSignature) -> int:
             continue
         slot, dsts, srcs = item
         for k in range(trips):
-            index = lo + k * length + slot
-            ins[index] = replace(ins[index], dsts=dsts, srcs=srcs)
+            program.set_registers(lo + k * length + slot, dsts, srcs)
             changed += 1
     return changed
 

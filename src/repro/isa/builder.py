@@ -4,6 +4,12 @@ Workload generators use :class:`ProgramBuilder` as a tiny assembler: one
 method per opcode, with the current vector length tracked so MOM
 instructions pick it up implicitly (mirroring the architectural VL
 register).
+
+Each emit checks the opcode's required fields (the same
+:func:`~repro.isa.instructions.check_fields` rule ``Program.append``
+applies) and then writes one row into the program's columns, with
+operand registers lowered to their dense ids.  No
+:class:`~repro.isa.instructions.Instruction` is created.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from contextlib import contextmanager
 
 from repro.errors import IsaError
 from repro.isa.datatypes import ElemType
-from repro.isa.instructions import Instruction, Program
+from repro.isa.instructions import CHECKS_ID, Program, check_fields
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import VL, Register
 
@@ -31,7 +37,7 @@ class LoopMark:
 
     def begin(self) -> None:
         """Mark the start of the next loop iteration."""
-        self.starts.append(len(self._builder.program.instructions))
+        self.starts.append(len(self._builder.program))
 
 
 class ProgramBuilder:
@@ -41,6 +47,7 @@ class ProgramBuilder:
         self.program = Program(name=name)
         self._vl = 1
         self._tag = ""
+        self._append_row = self.program.append_row
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -79,49 +86,58 @@ class ProgramBuilder:
         try:
             yield mark
         finally:
-            end = len(self.program.instructions)
+            end = len(self.program)
             if len(mark.starts) >= 2:
                 self.program.loop_marks.append(
                     (tuple(mark.starts), end))
 
-    def _emit(self, op: Opcode, **kw) -> Instruction:
-        inst = Instruction(op=op, tag=self._tag, **kw)
-        self.program.append(inst)
-        return inst
+    def _emit(self, op: Opcode, dsts: tuple[int, ...] = (),
+              srcs: tuple[int, ...] = (), imm: int | None = None,
+              etype: ElemType | None = None, vl: int = 1,
+              ea: int | None = None, stride: int | None = None,
+              wwords: int | None = None, back: bool = False,
+              pstride: int | None = None) -> None:
+        """Validate and append one row; ``dsts``/``srcs`` are register
+        ids (``Register.rid``)."""
+        if CHECKS_ID[id(op)]:
+            check_fields(op, vl, ea, stride, wwords, pstride)
+        self._append_row(op, dsts, srcs, imm, etype, vl, ea, stride,
+                         wwords, back, pstride, self._tag)
 
     # -- scalar ------------------------------------------------------------
 
     def li(self, dst: Register, imm: int):
         """dst <- imm"""
-        self._emit(Opcode.LI, dsts=(dst,), imm=imm)
+        self._emit(Opcode.LI, dsts=(dst.rid,), imm=imm)
 
     def mov(self, dst: Register, src: Register):
         """dst <- src"""
-        self._emit(Opcode.MOV, dsts=(dst,), srcs=(src,))
+        self._emit(Opcode.MOV, dsts=(dst.rid,), srcs=(src.rid,))
 
     def add(self, dst: Register, a: Register, b: Register):
         """dst <- a + b"""
-        self._emit(Opcode.ADD, dsts=(dst,), srcs=(a, b))
+        self._emit(Opcode.ADD, dsts=(dst.rid,), srcs=(a.rid, b.rid))
 
     def addi(self, dst: Register, a: Register, imm: int):
         """dst <- a + imm"""
-        self._emit(Opcode.ADDI, dsts=(dst,), srcs=(a,), imm=imm)
+        self._emit(Opcode.ADDI, dsts=(dst.rid,), srcs=(a.rid,), imm=imm)
 
     def sub(self, dst: Register, a: Register, b: Register):
         """dst <- a - b"""
-        self._emit(Opcode.SUB, dsts=(dst,), srcs=(a, b))
+        self._emit(Opcode.SUB, dsts=(dst.rid,), srcs=(a.rid, b.rid))
 
     def mul(self, dst: Register, a: Register, b: Register):
         """dst <- a * b"""
-        self._emit(Opcode.MUL, dsts=(dst,), srcs=(a, b))
+        self._emit(Opcode.MUL, dsts=(dst.rid,), srcs=(a.rid, b.rid))
 
     def slt(self, dst: Register, a: Register, b: Register):
         """dst <- 1 if a < b else 0 (signed compare)"""
-        self._emit(Opcode.SLT, dsts=(dst,), srcs=(a, b))
+        self._emit(Opcode.SLT, dsts=(dst.rid,), srcs=(a.rid, b.rid))
 
     def cmov(self, dst: Register, cond: Register, src: Register):
         """dst <- src if cond != 0 else dst (dst is read and written)"""
-        self._emit(Opcode.CMOV, dsts=(dst,), srcs=(cond, src, dst))
+        self._emit(Opcode.CMOV, dsts=(dst.rid,),
+                   srcs=(cond.rid, src.rid, dst.rid))
 
     def branch(self):
         """Loop back-edge marker (consumes a fetch slot, no side effect)."""
@@ -137,30 +153,30 @@ class ProgramBuilder:
         if not 1 <= n <= 16:
             raise IsaError(f"setvl: length {n} out of range 1..16")
         self._vl = n
-        self._emit(Opcode.SETVL, dsts=(VL,), imm=n)
+        self._emit(Opcode.SETVL, dsts=(VL.rid,), imm=n)
 
     def clracc(self, a: Register):
         """acc <- 0"""
-        self._emit(Opcode.CLRACC, dsts=(a,))
+        self._emit(Opcode.CLRACC, dsts=(a.rid,))
 
     def movacc(self, dst: Register, a: Register):
         """scalar dst <- low 64 bits of accumulator"""
-        self._emit(Opcode.MOVACC, dsts=(dst,), srcs=(a,))
+        self._emit(Opcode.MOVACC, dsts=(dst.rid,), srcs=(a.rid,))
 
     def movd(self, dst: Register, src: Register):
         """scalar dst <- element 0 of vector register src (MMX movd)"""
-        self._emit(Opcode.MOVD, dsts=(dst,), srcs=(src,))
+        self._emit(Opcode.MOVD, dsts=(dst.rid,), srcs=(src.rid,))
 
     # -- scalar memory -------------------------------------------------------
 
     def ld(self, dst: Register, ea: int, base: Register | None = None):
         """scalar dst <- mem64[ea]"""
-        srcs = (base,) if base is not None else ()
-        self._emit(Opcode.LD, dsts=(dst,), srcs=srcs, ea=ea)
+        srcs = (base.rid,) if base is not None else ()
+        self._emit(Opcode.LD, dsts=(dst.rid,), srcs=srcs, ea=ea)
 
     def st(self, src: Register, ea: int, base: Register | None = None):
         """mem64[ea] <- scalar src"""
-        srcs = (src, base) if base is not None else (src,)
+        srcs = (src.rid, base.rid) if base is not None else (src.rid,)
         self._emit(Opcode.ST, srcs=srcs, ea=ea)
 
     # -- uSIMD --------------------------------------------------------------
@@ -169,8 +185,8 @@ class ProgramBuilder:
              b: Register | None = None, *, etype: ElemType,
              imm: int | None = None):
         """Generic two/one source uSIMD operation at the current VL."""
-        srcs = (a,) if b is None else (a, b)
-        self._emit(op, dsts=(dst,), srcs=srcs, etype=etype,
+        srcs = (a.rid,) if b is None else (a.rid, b.rid)
+        self._emit(op, dsts=(dst.rid,), srcs=srcs, etype=etype,
                    imm=imm, vl=self._vl)
 
     def splatlane(self, dst: Register, src: Register, lane: int):
@@ -181,18 +197,20 @@ class ProgramBuilder:
 
     def vbcast64(self, dst: Register, pattern: int):
         """Broadcast 64-bit ``pattern`` to all VL elements of dst."""
-        self._emit(Opcode.VBCAST64, dsts=(dst,),
+        self._emit(Opcode.VBCAST64, dsts=(dst.rid,),
                    imm=pattern & 0xFFFF_FFFF_FFFF_FFFF,
                    etype=ElemType.I16, vl=self._vl)
 
     def vpsadacc(self, a: Register, x: Register, y: Register):
         """acc += sum over elements of SAD(x, y) (u8 lanes)."""
-        self._emit(Opcode.VPSADACC, dsts=(a,), srcs=(x, y, a),
+        self._emit(Opcode.VPSADACC, dsts=(a.rid,),
+                   srcs=(x.rid, y.rid, a.rid),
                    etype=ElemType.U8, vl=self._vl)
 
     def vpmaddacc(self, a: Register, x: Register, y: Register):
         """acc += sum over elements/lanes of x*y (i16 pairs)."""
-        self._emit(Opcode.VPMADDACC, dsts=(a,), srcs=(x, y, a),
+        self._emit(Opcode.VPMADDACC, dsts=(a.rid,),
+                   srcs=(x.rid, y.rid, a.rid),
                    etype=ElemType.I16, vl=self._vl)
 
     # -- vector memory -------------------------------------------------------
@@ -206,8 +224,8 @@ class ProgramBuilder:
         no functional effect but feeds the per-dimension vector-length
         statistics (paper Table 1).
         """
-        srcs = (base,) if base is not None else ()
-        self._emit(Opcode.VLD, dsts=(dst,), srcs=srcs, ea=ea,
+        srcs = (base.rid,) if base is not None else ()
+        self._emit(Opcode.VLD, dsts=(dst.rid,), srcs=srcs, ea=ea,
                    stride=stride, etype=etype,
                    vl=vl if vl is not None else self._vl)
 
@@ -215,7 +233,7 @@ class ProgramBuilder:
             base: Register | None = None, vl: int | None = None,
             etype: ElemType | None = None):
         """mem64[ea + k*stride] <- src[k] for k < VL."""
-        srcs = (src, base) if base is not None else (src,)
+        srcs = (src.rid, base.rid) if base is not None else (src.rid,)
         self._emit(Opcode.VST, srcs=srcs, ea=ea, stride=stride,
                    etype=etype, vl=vl if vl is not None else self._vl)
 
@@ -231,8 +249,8 @@ class ProgramBuilder:
         pointer is initialized to 0, or to the end of the element if
         ``back`` is set.
         """
-        srcs = (base,) if base is not None else ()
-        self._emit(Opcode.DVLOAD3, dsts=(dst,), srcs=srcs, ea=ea,
+        srcs = (base.rid,) if base is not None else ()
+        self._emit(Opcode.DVLOAD3, dsts=(dst.rid,), srcs=srcs, ea=ea,
                    stride=stride, wwords=wwords, back=back, etype=etype,
                    vl=vl if vl is not None else self._vl)
 
@@ -245,5 +263,5 @@ class ProgramBuilder:
         byte offset, into element ``k`` of MOM register ``dst``.  The
         pointer is then advanced by ``pstride`` bytes (may be negative).
         """
-        self._emit(Opcode.DVMOV3, dsts=(dst,), srcs=(src3d,),
+        self._emit(Opcode.DVMOV3, dsts=(dst.rid,), srcs=(src3d.rid,),
                    pstride=pstride, vl=vl if vl is not None else self._vl)

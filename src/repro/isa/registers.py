@@ -16,7 +16,7 @@ The register classes follow the paper's Table 3:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import IsaError
 
@@ -53,6 +53,15 @@ LOGICAL_COUNTS = {
     RegClass.CONTROL: 2,  # vl, vs
 }
 
+#: Dense register ids: ``1 + class_code * REGS_PER_CLASS + index``.
+#: Programs store operands as these ids (see
+#: :class:`repro.isa.instructions.Program`) and the timing model's
+#: scoreboard is indexed by them; id 0 is reserved as "no register".
+REGS_PER_CLASS = 32
+CLASS_CODE = {cls: code for code, cls in enumerate(RegClass)}
+#: one past the largest register id
+REG_ID_LIMIT = 1 + len(CLASS_CODE) * REGS_PER_CLASS
+
 
 @dataclass(frozen=True)
 class Register:
@@ -60,6 +69,8 @@ class Register:
 
     cls: RegClass
     index: int
+    #: dense register id (derived from class and index)
+    rid: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         limit = LOGICAL_COUNTS[self.cls]
@@ -68,6 +79,8 @@ class Register:
                 f"register index {self.index} out of range for class "
                 f"{self.cls.value} (0..{limit - 1})"
             )
+        object.__setattr__(self, "rid", 1 + CLASS_CODE[self.cls]
+                           * REGS_PER_CLASS + self.index)
 
     def __repr__(self) -> str:
         if self.cls is RegClass.CONTROL:
@@ -85,6 +98,12 @@ _INTERNED: dict[RegClass, tuple[Register, ...]] = {
     for cls, count in LOGICAL_COUNTS.items()
 }
 
+
+#: interned register of every dense id (None for unused ids)
+REGISTER_OF_ID: list[Register | None] = [None] * REG_ID_LIMIT
+for _regs in _INTERNED.values():
+    for _reg in _regs:
+        REGISTER_OF_ID[_reg.rid] = _reg
 
 _SCALARS = _INTERNED[RegClass.SCALAR]
 _VECTORS = _INTERNED[RegClass.VECTOR]
@@ -137,6 +156,6 @@ def d3(index: int) -> Register:
 
 
 #: The Vector Length control register.
-VL = Register(RegClass.CONTROL, 0)
+VL = _INTERNED[RegClass.CONTROL][0]
 #: The Vector Stride control register.
-VS = Register(RegClass.CONTROL, 1)
+VS = _INTERNED[RegClass.CONTROL][1]

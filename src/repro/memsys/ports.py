@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import MEMORY_OPS, Opcode
 from repro.memsys.hierarchy import CacheHierarchy
 
 WORD = 8  # bytes per 64-bit word
@@ -97,36 +97,47 @@ class PortStats:
         return self.words / self.port_accesses
 
 
+def request_for_fields(op: Opcode, ea: int, stride: int | None, vl: int,
+                       wwords: int | None) -> MemRequest:
+    """Lower a memory instruction, given by its field values, to its
+    reference stream (the columnar form of :func:`request_for`)."""
+    if op is Opcode.LD or op is Opcode.ST:
+        return MemRequest(refs=[(ea, WORD)], is_write=op is Opcode.ST,
+                          useful_words=1)
+    if op is Opcode.VLD or op is Opcode.VST:
+        refs = [(ea + k * stride, WORD) for k in range(vl)]
+        return MemRequest(refs=refs, is_write=op is Opcode.VST,
+                          useful_words=vl)
+    if op is Opcode.DVLOAD3:
+        width = wwords * WORD
+        refs = [(ea + k * stride, width) for k in range(vl)]
+        return MemRequest(refs=refs, is_write=False,
+                          useful_words=vl * wwords, line_mode=True)
+    raise ValueError(f"not a memory opcode: {op}")
+
+
 def request_for(inst: Instruction) -> MemRequest:
     """Lower a memory instruction to its reference stream."""
-    if inst.op in (Opcode.LD, Opcode.ST):
-        return MemRequest(refs=[(inst.ea, WORD)],
-                          is_write=inst.op is Opcode.ST, useful_words=1)
-    if inst.op in (Opcode.VLD, Opcode.VST):
-        refs = [(inst.ea + k * inst.stride, WORD) for k in range(inst.vl)]
-        return MemRequest(refs=refs, is_write=inst.op is Opcode.VST,
-                          useful_words=inst.vl)
-    if inst.op is Opcode.DVLOAD3:
-        width = inst.wwords * WORD
-        refs = [(inst.ea + k * inst.stride, width) for k in range(inst.vl)]
-        return MemRequest(refs=refs, is_write=False,
-                          useful_words=inst.vl * inst.wwords,
-                          line_mode=True)
-    raise ValueError(f"not a memory opcode: {inst.op}")
+    return request_for_fields(inst.op, inst.ea, inst.stride, inst.vl,
+                              inst.wwords)
 
 
 def requests_for(program) -> list[MemRequest | None]:
     """Batched :func:`request_for`: lower a whole trace in one pass.
 
     Returns a list aligned with the program's instruction indices;
-    non-memory slots hold ``None``.  Convenience entry point for
+    non-memory slots hold ``None``.  Reads the program's columns, so
+    no instruction view is created.  Convenience entry point for
     callers that replay a trace's traffic against a port (the batched
-    pipeline's pre-decode pass calls :func:`request_for` per memory
-    instruction inside its own trace walk and attaches port plans on
-    top — see ``repro.timing.predecode``).
+    pipeline's pre-decode pass calls :func:`request_for_fields` per
+    memory instruction inside its own trace walk and attaches port
+    plans on top — see ``repro.timing.predecode``).
     """
-    return [request_for(inst) if inst.is_memory else None
-            for inst in program]
+    return [request_for_fields(op, ea, stride, vl, wwords)
+            if op in MEMORY_OPS else None
+            for op, ea, stride, vl, wwords in zip(
+                program.op, program.ea, program.stride, program.vl,
+                program.wwords)]
 
 
 class VectorPort:

@@ -37,9 +37,15 @@ from repro.compiler.pipeline import coverage_regions
 from repro.errors import ConfigError
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import EXEC_CLASS, ExecClass, Opcode
-from repro.isa.registers import VL, RegClass
+from repro.isa.registers import (
+    CLASS_CODE,
+    REG_ID_LIMIT,
+    REGS_PER_CLASS,
+    VL,
+    RegClass,
+)
 from repro.memsys.multibank import MultiBankedPort
-from repro.memsys.ports import MemRequest, request_for
+from repro.memsys.ports import MemRequest, request_for_fields
 from repro.memsys.vectorcache import VectorCachePort
 from repro.timing.config import (
     DEFAULT_INT_LATENCY,
@@ -63,38 +69,31 @@ FAST_SPAN_MIN = 12
 
 # -- register ids -----------------------------------------------------------
 
-_CLS_CODE = {
-    RegClass.SCALAR: 0,
-    RegClass.VECTOR: 1,
-    RegClass.ACC: 2,
-    RegClass.VEC3D: 3,
-    RegClass.CONTROL: 4,
-}
-#: id 0 is reserved as the "never written" sentinel so padded source
-#: slots read ready-at-cycle-0, exactly like the reference model's
-#: ``dict.get(src, 0)``.
-_REGS_PER_CLASS = 32
-_PTR_BASE = 1 + len(_CLS_CODE) * _REGS_PER_CLASS
+#: The scoreboard is indexed by the dense register ids programs store
+#: (``Register.rid``).  Id 0 is reserved as the "never written"
+#: sentinel so padded source slots read ready-at-cycle-0, exactly like
+#: the reference model's ``dict.get(src, 0)``.
+_PTR_BASE = REG_ID_LIMIT
 #: scoreboard size: all register classes plus the two 3D pointers
+#: (the ``(_PTR, i)`` keys of the reference model's scoreboard sit at
+#: ``_PTR_BASE + i``)
 SB_SIZE = _PTR_BASE + 2
 #: scoreboard slot of the VL control register
-VL_ID = 1 + _CLS_CODE[RegClass.CONTROL] * _REGS_PER_CLASS + VL.index
+VL_ID = VL.rid
 
 #: rename-limiter codes (indexes into BatchedPipeline's limiter table)
 REN_VECTOR = 0
 REN_VEC3D = 1
 _REN_CODE = {RegClass.VECTOR: REN_VECTOR, RegClass.VEC3D: REN_VEC3D}
-
-
-def reg_id(reg) -> int:
-    """Dense scoreboard id of an architectural register."""
-    return 1 + _CLS_CODE[reg.cls] * _REGS_PER_CLASS + reg.index
-
-
-def ptr_id(index: int) -> int:
-    """Scoreboard id of a 3D pointer register (the ``(_PTR, i)`` keys
-    of the reference model's scoreboard)."""
-    return _PTR_BASE + index
+#: per register id: its rename-limiter code (None: not renamed) and
+#: its index within its class
+_REN_OF_ID: list[int | None] = [None] * REG_ID_LIMIT
+_INDEX_OF_ID: list[int] = [0] * REG_ID_LIMIT
+for _cls, _code in CLASS_CODE.items():
+    for _index in range(REGS_PER_CLASS):
+        _rid = 1 + _code * REGS_PER_CLASS + _index
+        _REN_OF_ID[_rid] = _REN_CODE.get(_cls)
+        _INDEX_OF_ID[_rid] = _index
 
 
 # -- shared pure helpers -----------------------------------------------------
@@ -412,8 +411,6 @@ for _op, _cls in EXEC_CLASS.items():
 #: hashing an Enum, which matters in the per-instruction core pass.
 _OP_INFO_ID = {id(op): info for op, info in _OP_INFO.items()}
 _OP_BY_ID = {id(op): op for op in Opcode}
-_CLS_ID = {id(cls): code for cls, code in _CLS_CODE.items()}
-_REN_ID = {id(cls): code for cls, code in _REN_CODE.items()}
 
 #: id(program) -> (weakref to the program, fingerprint, {"core":
 #: CoreDecode, <config key>: DecodedTrace, ("prime", ...): primed
@@ -471,9 +468,12 @@ def decode(program: Program, proc: ProcessorConfig,
 def _decode_core(program: Program) -> CoreDecode:
     from collections import Counter
 
-    instructions = program.instructions
-    n = len(instructions)
-    ops = [inst.op for inst in instructions]
+    # the program's columns (see repro.isa.instructions.Program)
+    ops = program.op
+    vls = program.vl
+    src_col = program.src_ids
+    dst_col = program.dst_ids
+    n = len(ops)
     op_ids = list(map(id, ops))
     by_opcode = {_OP_BY_ID[key]: count
                  for key, count in Counter(op_ids).items()}
@@ -486,23 +486,18 @@ def _decode_core(program: Program) -> CoreDecode:
     runs: list[tuple[int, int]] = []
     mem_geometry: list[tuple] = []
     requests: list[MemRequest | None] = [None] * n
-    vl_list = [1] * n
+    vl_list = list(vls)
     kind_list = [0] * n
     veclen_events: list[tuple[int, int, int]] = []
     rf3d_words = rf3d_reads = 0
     has_dvload3 = False
     op_info = _OP_INFO_ID
-    cls_code = _CLS_ID
-    ren_get = _REN_ID.get
+    index_of = _INDEX_OF_ID
+    ren_of = _REN_OF_ID
 
-    # per-call register lowerings keyed by object identity: registers
-    # are interned (see repro.isa.registers), so the few dozen distinct
-    # operands of a trace resolve through one dict hit instead of
-    # re-deriving class codes per occurrence.  The caches are local —
-    # the program keeps every register alive for the duration, so ids
-    # cannot be recycled under us.
-    sid_of: dict[int, int] = {}
-    dst_of: dict[int, tuple[int, int | None]] = {}
+    # rename codes per distinct destination tuple (a trace has a few
+    # dozen); the operand columns already hold scoreboard ids
+    ren_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # hazard-run detection state: last writer index per register id
     last_write = [-1] * SB_SIZE
@@ -512,56 +507,45 @@ def _decode_core(program: Program) -> CoreDecode:
         hazard-free run start (-1 when none)."""
         nonlocal rf3d_words, rf3d_reads, has_dvload3
         for i in range(lo, hi):
-            inst = instructions[i]
             (kind, branch, latency, vl_reader, scalar_mem, store_op,
              is_dvload3, is_vmem) = op_info[op_ids[i]]
-            vl = inst.vl
-            vl_list[i] = vl
+            vl = vls[i]
             kind_list[i] = kind
-            src_ids_list = []
-            for s in inst.srcs:
-                sid = sid_of.get(id(s))
-                if sid is None:
-                    sid = 1 + cls_code[id(s.cls)] * 32 + s.index
-                    sid_of[id(s)] = sid
-                src_ids_list.append(sid)
-            src_ids = tuple(src_ids_list)
-            dst_ids: tuple[int, ...] = ()
-            ren: tuple[int, ...] = ()
-            for t in inst.dsts:
-                entry = dst_of.get(id(t))
-                if entry is None:
-                    entry = (1 + cls_code[id(t.cls)] * 32 + t.index,
-                             ren_get(id(t.cls)))
-                    dst_of[id(t)] = entry
-                tid, code = entry
-                dst_ids += (tid,)
-                if code is not None:
-                    ren += (code,)
+            src_ids = src_col[i]
+            dst_ids = dst_col[i]
+            ren = ren_memo.get(dst_ids)
+            if ren is None:
+                ren = ren_memo[dst_ids] = tuple(
+                    ren_of[t] for t in dst_ids if ren_of[t] is not None)
             needs_vl = vl > 1 or vl_reader
             ptr_kind = 0
             ptr = 0
             if kind == KIND_D3MOVE:
                 ptr_kind = 1
-                ptr = ptr_id(inst.srcs[0].index)
+                index = index_of[src_ids[0]]
+                ptr = _PTR_BASE + index
                 rf3d_words += vl
                 rf3d_reads += 1
-                veclen_events.append((2, inst.srcs[0].index, 0))
+                veclen_events.append((2, index, 0))
             elif kind == KIND_MEM:
-                lanes = inst.etype.lanes if inst.etype is not None else 8
+                etype = program.etype[i]
+                lanes = etype.lanes if etype is not None else 8
                 if is_dvload3:
                     has_dvload3 = True
                     ptr_kind = 2
-                    ptr = ptr_id(inst.dsts[0].index)
-                    veclen_events.append(
-                        (1, inst.dsts[0].index, (lanes << 8) | vl))
+                    index = index_of[dst_ids[0]]
+                    ptr = _PTR_BASE + index
+                    veclen_events.append((1, index, (lanes << 8) | vl))
                 elif is_vmem:
                     veclen_events.append((0, 0, (lanes << 8) | vl))
+                ea = program.ea[i]
+                stride = program.stride[i]
+                wwords = program.wwords[i]
                 mem_geometry.append(
-                    (i, inst.ea, 1 if scalar_mem else vl,
-                     inst.stride or 0, (inst.wwords or 1) * 8,
-                     scalar_mem, store_op))
-                requests[i] = request_for(inst)
+                    (i, ea, 1 if scalar_mem else vl, stride or 0,
+                     (wwords or 1) * 8, scalar_mem, store_op))
+                requests[i] = request_for_fields(ops[i], ea, stride, vl,
+                                                 wwords)
             rows.append((kind, branch, latency, src_ids, dst_ids, ren,
                          kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr))
 
@@ -636,7 +620,6 @@ def _decode_core(program: Program) -> CoreDecode:
         if body_events:
             veclen_events += body_events * reps
         hi = lo + length * trips
-        vl_list[lo + length:hi] = vl_list[lo:lo + length] * reps
         kind_list[lo + length:hi] = kind_list[lo:lo + length] * reps
         steps = sig.ea_steps
         body_mem = [(g, steps[g[0] - lo]) for g in body_geom]

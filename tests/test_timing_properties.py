@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.engine.keys import RunSpec
 from repro.engine.parallel import build_configs
-from repro.isa import ElemType, Opcode, ProgramBuilder, acc, d3, r, v
+from repro.isa import (ElemType, Opcode, Program, ProgramBuilder, acc, d3,
+                       r, v)
 from repro.timing import simulate
 from repro.timing.predecode import touch_sequence
 
@@ -102,12 +103,9 @@ def test_batched_matches_reference_on_random_programs(
 @settings(deadline=None, max_examples=30)
 def test_batched_matches_reference_on_mmx(program, warm):
     """The MMX routing (all media through the L1) agrees as well."""
-    if any(inst.op is Opcode.DVLOAD3 for inst in program):
-        program.instructions = [inst for inst in program
-                                if inst.op is not Opcode.DVLOAD3]
-    if any(inst.op is Opcode.DVMOV3 for inst in program):
-        program.instructions = [inst for inst in program
-                                if inst.op is not Opcode.DVMOV3]
+    program = Program([inst for inst in program
+                       if inst.op not in (Opcode.DVLOAD3, Opcode.DVMOV3)],
+                      name=program.name)
     spec = RunSpec(benchmark="gsm_encode", coding="mmx",
                    memsys="multibank")
     proc, memsys = build_configs(spec)
