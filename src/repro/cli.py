@@ -202,7 +202,7 @@ def _cmd_all(args) -> int:
     runner.prefetch(all_specs(runner.seed))
     # One-shot process: every trace it will hold is built by now, and
     # traces are acyclic (tests/test_engine.py), so the collector need
-    # never rescan them while the tables render.
+    # never rescan the heap while the tables render or at exit.
     gc.freeze()
     for result in run_all(runner):
         print(result.render())

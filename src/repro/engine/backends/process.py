@@ -38,9 +38,10 @@ def _pool_worker(specs: tuple[RunSpec, ...],
 
     The shard's traces are built first and the heap is then frozen
     out of the cyclic collector: a child lives for one ``execute``
-    call, and the traces it accumulates are acyclic (freed by refcount
-    alone, pinned by ``tests/test_engine.py``), so full collections
-    during the simulations would rescan them for nothing.
+    call, and everything alive by then (imported modules, the acyclic
+    traces, freed by refcount alone as ``tests/test_engine.py`` pins)
+    lives as long as the child, so full collections during the
+    simulations would rescan it for nothing.
     """
     restore_trace_paths(trace_paths)
     for key in dict.fromkeys((spec.benchmark, spec.coding, spec.seed)

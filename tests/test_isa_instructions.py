@@ -19,6 +19,7 @@ from repro.isa import (
     v,
     d3,
 )
+from repro.isa.registers import Register
 
 
 def test_memory_instruction_requires_ea():
@@ -203,3 +204,109 @@ def test_memory_and_exec_class_flags_cover_every_opcode():
         inst = Instruction(op=op)
         assert inst.is_memory is (op in memory)
         assert isinstance(inst.exec_class, ExecClass)
+
+
+# -- emit-time validation: builder and Program.append agree ------------------
+
+
+def _program_lengths(program):
+    return [len(column) for column in program.columns()]
+
+
+@pytest.mark.parametrize("emit,inst,message", [
+    (lambda b: b.ld(r(0), ea=None),
+     Instruction(op=Opcode.LD, dsts=(r(0),)),
+     "ld: memory op requires ea"),
+    (lambda b: b.vld(v(0), ea=0x100, stride=None, vl=4),
+     Instruction(op=Opcode.VLD, dsts=(v(0),), ea=0x100, vl=4),
+     "vld: requires stride"),
+    (lambda b: b.vst(v(0), ea=0, stride=8, vl=17),
+     Instruction(op=Opcode.VST, srcs=(v(0),), ea=0, stride=8, vl=17),
+     "vst: vl must be 1..16"),
+    (lambda b: b.vld(v(0), ea=0, stride=8, vl=0),
+     Instruction(op=Opcode.VLD, dsts=(v(0),), ea=0, stride=8, vl=0),
+     "vld: vl must be 1..16"),
+    (lambda b: b.dvload3(d3(0), ea=0, stride=8, wwords=17, vl=4),
+     Instruction(op=Opcode.DVLOAD3, dsts=(d3(0),), ea=0, stride=8, vl=4,
+                 wwords=17),
+     "dvload3: wwords must be 1..16"),
+    (lambda b: b.dvload3(d3(0), ea=0, stride=8, wwords=0, vl=4),
+     Instruction(op=Opcode.DVLOAD3, dsts=(d3(0),), ea=0, stride=8, vl=4,
+                 wwords=0),
+     "dvload3: wwords must be 1..16"),
+    (lambda b: b.dvmov3(v(0), d3(0), pstride=None, vl=4),
+     Instruction(op=Opcode.DVMOV3, dsts=(v(0),), srcs=(d3(0),), vl=4),
+     "dvmov3: requires pstride"),
+])
+def test_rejected_emit_is_loud_and_atomic(emit, inst, message):
+    """The builder and ``Program.append`` reject a row with the message
+    ``Instruction.validate`` gives, and write none of its columns."""
+    b = ProgramBuilder()
+    b.li(r(1), 7)
+    before = _program_lengths(b.program)
+    version = b.program.version
+    with pytest.raises(IsaError) as info:
+        emit(b)
+    assert str(info.value) == message
+    assert _program_lengths(b.program) == before == [1] * len(before)
+    assert b.program.version == version
+
+    program = Program([Instruction(op=Opcode.NOP)])
+    with pytest.raises(IsaError) as info:
+        program.append(inst)
+    assert str(info.value) == message
+    assert _program_lengths(program) == [1] * len(before)
+    with pytest.raises(IsaError) as info:
+        inst.validate()
+    assert str(info.value) == message
+
+
+# -- the columnar program and its views --------------------------------------
+
+
+def test_program_views_round_trip_through_the_columns():
+    insts = [_VLD,
+             Instruction(op=Opcode.LI, dsts=(r(3),), imm=-42, tag="t"),
+             Instruction(op=Opcode.DVLOAD3, dsts=(d3(1),), ea=0x40,
+                         stride=-720, vl=8, wwords=3, back=True,
+                         etype=ElemType.U8),
+             Instruction(op=Opcode.DVMOV3, dsts=(v(2),), srcs=(d3(1),),
+                         vl=8, pstride=-8),
+             Instruction(op=Opcode.VPSADACC, dsts=(acc(1),),
+                         srcs=(v(0), v(1), acc(1)), vl=4,
+                         etype=ElemType.U8)]
+    program = Program(insts, name="p")
+    assert len(program) == len(insts) == program.version
+    assert list(program) == insts
+    assert program.instructions == insts
+    assert program.instructions[1:3] == insts[1:3]
+    assert program[-1] == insts[-1] == program.instructions[-1]
+    assert program.dst_ids[0] == (v(0).rid,)
+    assert program.ea[2] == 0x40
+    with pytest.raises(IndexError):
+        program[len(insts)]
+    assert Program(insts, name="p") == program
+    assert Program(insts[:-1], name="p") != program
+
+
+def test_program_instructions_is_read_only():
+    program = Program([_VLD])
+    with pytest.raises(TypeError):
+        program.instructions[0] = _VLD
+    with pytest.raises(AttributeError):
+        program.instructions = [_VLD]
+
+
+def test_built_program_stores_no_instruction_objects():
+    """A built trace is columns of plain values: no ``Instruction``
+    (or ``Register``) object is held until a view is asked for."""
+    b = ProgramBuilder()
+    b.setvl(4)
+    b.vld(v(0), ea=0x100, stride=8, base=r(2))
+    b.simd(Opcode.PADDB, v(1), v(0), v(0), etype=ElemType.U8)
+    held = [value for column in b.program.columns() for value in column]
+    held += [x for ids in b.program.dst_ids + b.program.src_ids
+             for x in ids]
+    assert not any(isinstance(x, (Instruction, Register)) for x in held)
+    assert b.program.src_ids[1] == (r(2).rid,)
+    assert b.program[1].srcs == (r(2),)
