@@ -23,6 +23,12 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import VL, Register
 
 
+#: One shared tuple per distinct operand-id tuple: a trace repeats a
+#: few hundred register combinations, and sharing them keeps the
+#: operand columns to one pointer per row.
+_OPERANDS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 class LoopMark:
     """Handle yielded by :meth:`ProgramBuilder.loop`.
 
@@ -101,8 +107,10 @@ class ProgramBuilder:
         ids (``Register.rid``)."""
         if CHECKS_ID[id(op)]:
             check_fields(op, vl, ea, stride, wwords, pstride)
-        self._append_row(op, dsts, srcs, imm, etype, vl, ea, stride,
-                         wwords, back, pstride, self._tag)
+        intern = _OPERANDS.setdefault
+        self._append_row(op, intern(dsts, dsts), intern(srcs, srcs), imm,
+                         etype, vl, ea, stride, wwords, back, pstride,
+                         self._tag)
 
     # -- scalar ------------------------------------------------------------
 

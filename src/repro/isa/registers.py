@@ -53,14 +53,14 @@ LOGICAL_COUNTS = {
     RegClass.CONTROL: 2,  # vl, vs
 }
 
-#: Dense register ids: ``1 + class_code * REGS_PER_CLASS + index``.
+#: Dense register ids: ``1 + class_code * _REGS_PER_CLASS + index``.
 #: Programs store operands as these ids (see
 #: :class:`repro.isa.instructions.Program`) and the timing model's
 #: scoreboard is indexed by them; id 0 is reserved as "no register".
-REGS_PER_CLASS = 32
-CLASS_CODE = {cls: code for code, cls in enumerate(RegClass)}
+_REGS_PER_CLASS = 32
+_CLASS_CODE = {cls: code for code, cls in enumerate(RegClass)}
 #: one past the largest register id
-REG_ID_LIMIT = 1 + len(CLASS_CODE) * REGS_PER_CLASS
+REG_ID_LIMIT = 1 + len(_CLASS_CODE) * _REGS_PER_CLASS
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class Register:
                 f"register index {self.index} out of range for class "
                 f"{self.cls.value} (0..{limit - 1})"
             )
-        object.__setattr__(self, "rid", 1 + CLASS_CODE[self.cls]
-                           * REGS_PER_CLASS + self.index)
+        object.__setattr__(self, "rid", 1 + _CLASS_CODE[self.cls]
+                           * _REGS_PER_CLASS + self.index)
 
     def __repr__(self) -> str:
         if self.cls is RegClass.CONTROL:
@@ -91,8 +91,8 @@ class Register:
 #: Interned register instances: every ``r(i)``/``v(i)``/... call for a
 #: valid index returns the same object.  Registers are frozen value
 #: objects, so sharing is safe; it saves an allocation per operand in
-#: the trace builders and lets hot consumers (the timing pre-decode)
-#: key caches by object identity.
+#: the trace builders, and instruction views map a dense id back to
+#: its one register object (:data:`REGISTER_OF_ID`).
 _INTERNED: dict[RegClass, tuple[Register, ...]] = {
     cls: tuple(Register(cls, i) for i in range(count))
     for cls, count in LOGICAL_COUNTS.items()

@@ -37,13 +37,7 @@ from repro.compiler.pipeline import coverage_regions
 from repro.errors import ConfigError
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import EXEC_CLASS, ExecClass, Opcode
-from repro.isa.registers import (
-    CLASS_CODE,
-    REG_ID_LIMIT,
-    REGS_PER_CLASS,
-    VL,
-    RegClass,
-)
+from repro.isa.registers import REG_ID_LIMIT, REGISTER_OF_ID, VL, RegClass
 from repro.memsys.multibank import MultiBankedPort
 from repro.memsys.ports import MemRequest, request_for_fields
 from repro.memsys.vectorcache import VectorCachePort
@@ -87,13 +81,9 @@ REN_VEC3D = 1
 _REN_CODE = {RegClass.VECTOR: REN_VECTOR, RegClass.VEC3D: REN_VEC3D}
 #: per register id: its rename-limiter code (None: not renamed) and
 #: its index within its class
-_REN_OF_ID: list[int | None] = [None] * REG_ID_LIMIT
-_INDEX_OF_ID: list[int] = [0] * REG_ID_LIMIT
-for _cls, _code in CLASS_CODE.items():
-    for _index in range(REGS_PER_CLASS):
-        _rid = 1 + _code * REGS_PER_CLASS + _index
-        _REN_OF_ID[_rid] = _REN_CODE.get(_cls)
-        _INDEX_OF_ID[_rid] = _index
+_REN_OF_ID = [None if reg is None else _REN_CODE.get(reg.cls)
+              for reg in REGISTER_OF_ID]
+_INDEX_OF_ID = [0 if reg is None else reg.index for reg in REGISTER_OF_ID]
 
 
 # -- shared pure helpers -----------------------------------------------------
