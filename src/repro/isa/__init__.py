@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.isa.datatypes.ElemType` — packed sub-word types.
 * register constructors :func:`r`, :func:`v`, :func:`acc`, :func:`d3`.
 * :class:`~repro.isa.opcodes.Opcode` / :class:`ExecClass`.
-* :class:`~repro.isa.instructions.Instruction` / :class:`Program`.
+* :class:`~repro.isa.instructions.Program` — a trace stored as columns
+  — and :class:`Instruction`, the view of one of its rows.
 * :class:`~repro.isa.builder.ProgramBuilder` — the trace assembler.
 * :mod:`~repro.isa.encoding` — binary trace (de)serialization.
 """
