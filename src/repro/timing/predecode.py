@@ -463,6 +463,10 @@ def _decode_core(program: Program) -> CoreDecode:
     vls = program.vl
     src_col = program.src_ids
     dst_col = program.dst_ids
+    etypes = program.etype
+    eas = program.ea
+    strides = program.stride
+    wwords_col = program.wwords
     n = len(ops)
     op_ids = list(map(id, ops))
     by_opcode = {_OP_BY_ID[key]: count
@@ -518,7 +522,7 @@ def _decode_core(program: Program) -> CoreDecode:
                 rf3d_reads += 1
                 veclen_events.append((2, index, 0))
             elif kind == KIND_MEM:
-                etype = program.etype[i]
+                etype = etypes[i]
                 lanes = etype.lanes if etype is not None else 8
                 if is_dvload3:
                     has_dvload3 = True
@@ -528,9 +532,9 @@ def _decode_core(program: Program) -> CoreDecode:
                     veclen_events.append((1, index, (lanes << 8) | vl))
                 elif is_vmem:
                     veclen_events.append((0, 0, (lanes << 8) | vl))
-                ea = program.ea[i]
-                stride = program.stride[i]
-                wwords = program.wwords[i]
+                ea = eas[i]
+                stride = strides[i]
+                wwords = wwords_col[i]
                 mem_geometry.append(
                     (i, ea, 1 if scalar_mem else vl, stride or 0,
                      (wwords or 1) * 8, scalar_mem, store_op))
