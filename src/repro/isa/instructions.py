@@ -157,17 +157,18 @@ class Program:
 
     Column ``c`` holds field ``c`` of every instruction in trace order
     (see :data:`COLUMNS`); ``dst_ids``/``src_ids`` hold tuples of dense
-    register ids.  Rows are only ever appended, and every way in
-    validates first, so a rejected row leaves all columns untouched.
+    register ids.  Rows are appended, and every way in validates
+    first, so a rejected row leaves all columns untouched; only
+    :meth:`set_registers` changes a row in place.
     """
 
     def __init__(self, instructions=(), name: str = ""):
         #: Human-readable name (workload + coding), used in reports.
         self.name = name
-        #: Mutation counter: bumped once per appended row (and by
-        #: in-place rewrites) so per-program memos (the timing layer's
-        #: pre-decode cache) can detect that a trace changed after it
-        #: was lowered.
+        #: Mutation counter: bumped once per appended row (and once by
+        #: a pass that rewrites rows in place) so per-program memos
+        #: (the timing layer's pre-decode cache) can detect that a
+        #: trace changed after it was lowered.
         self.version = 0
         #: Raw loop-iteration boundary marks recorded by the builder:
         #: ``(iteration_start_indices, end_index)`` per marked loop.
